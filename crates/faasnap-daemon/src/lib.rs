@@ -13,8 +13,6 @@
 //!   resources.
 //! - [`config`] — JSON experiment configurations mirroring the artifact's
 //!   `test-2inputs.json` / `test-6inputs.json` files.
-//! - [`kv`] — the host-local Redis analog functions use for input/output
-//!   state (§5).
 //! - [`metrics`] — repetition aggregation (mean ± stddev, as the paper
 //!   reports) and text-table rendering for experiment output.
 //! - [`observe`] — traced invocations (the artifact's Zipkin analog):
@@ -22,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 pub mod config;
-pub mod kv;
 pub mod metrics;
 pub mod observe;
 pub mod platform;
@@ -30,7 +27,6 @@ pub mod policy;
 pub mod registry;
 
 pub use config::ExperimentConfig;
-pub use kv::{KvStore, KvValue};
 pub use metrics::{MeasuredCell, TextTable};
 pub use observe::{traced_invoke, TraceRun};
 pub use platform::{BurstKind, InvokeError, Platform};

@@ -20,7 +20,6 @@ use sim_storage::faults::FaultPlan;
 use sim_storage::file::DeviceId;
 use sim_storage::profiles::DiskProfile;
 
-use crate::kv::{KvStore, KvValue};
 use crate::registry::FunctionRegistry;
 
 /// Why an invocation produced no outcome.
@@ -61,7 +60,6 @@ pub struct Platform {
     host: Host,
     registry: FunctionRegistry,
     device: DeviceId,
-    kv: KvStore,
     /// Content-addressed snapshot store (base+delta per function family),
     /// present once [`Platform::enable_snapshot_store`] ran. Off by
     /// default: enabling it registers an extra file and changes nothing
@@ -79,7 +77,6 @@ impl Platform {
             host,
             registry: FunctionRegistry::new(),
             device,
-            kv: KvStore::new(),
             snapstore: None,
             store_backed_reads: false,
         }
@@ -104,12 +101,6 @@ impl Platform {
     /// moves to the shared chunk file.
     pub fn set_store_backed_reads(&mut self, on: bool) {
         self.store_backed_reads = on;
-    }
-
-    /// The external state store (the §5 Redis analog). Inputs staged by
-    /// [`Platform::invoke`] and function outputs live here.
-    pub fn kv(&self) -> &KvStore {
-        &self.kv
     }
 
     /// The underlying host (for inspection in tests/experiments).
@@ -252,8 +243,7 @@ impl Platform {
     }
 
     /// [`Platform::invoke`] with a typed error: restore failures under
-    /// storage faults are distinguishable from registry misses. A failed
-    /// invocation writes no output to the state store.
+    /// storage faults are distinguishable from registry misses.
     pub fn try_invoke(
         &mut self,
         name: &str,
@@ -277,16 +267,6 @@ impl Platform {
                 }
             }
         }
-        // Stage the input payload in external storage (the function
-        // fetches it from there at the start of its trace) and record the
-        // output it produces.
-        self.kv.put(
-            format!("{name}/input"),
-            KvValue {
-                len: input.payload_kb * 1024,
-                fingerprint: input.seed,
-            },
-        );
         self.host.drop_caches();
         let tracer = self.host.tracer.clone();
         let ctx = tracer.begin(
@@ -304,13 +284,6 @@ impl Platform {
         match result {
             Ok(outcome) => {
                 tracer.end(ctx, SimTime::ZERO + outcome.report.total_time());
-                self.kv.put(
-                    format!("{name}/output"),
-                    KvValue {
-                        len: input.payload_kb * 1024,
-                        fingerprint: outcome.final_memory.checksum(),
-                    },
-                );
                 Ok(outcome)
             }
             Err(e) => {
@@ -348,13 +321,6 @@ impl Platform {
                 }
             }
         }
-        self.kv.put(
-            format!("{name}/input"),
-            KvValue {
-                len: input.payload_kb * 1024,
-                fingerprint: input.seed,
-            },
-        );
         self.host.drop_caches();
         let tracer = self.host.tracer.clone();
         // A 1-way fork is an ordinary invocation and must trace as one.
@@ -382,13 +348,6 @@ impl Platform {
                     .max()
                     .unwrap_or_default();
                 tracer.end(ctx, SimTime::ZERO + end);
-                self.kv.put(
-                    format!("{name}/output"),
-                    KvValue {
-                        len: input.payload_kb * 1024,
-                        fingerprint: fork.outcomes[0].final_memory.checksum(),
-                    },
-                );
                 Ok(fork)
             }
             Err(e) => {

@@ -70,13 +70,14 @@ impl SnapshotArtifacts {
     /// Builds an [`InvocationSpec`] for a test-phase invocation of
     /// `trace` under `strategy`, wiring in the right artifacts.
     pub fn spec(&self, strategy: RestoreStrategy, trace: Trace) -> InvocationSpec {
+        // `InvocationSpec::new` scans the restored copy, which equals the
+        // snapshot's frozen memory, for the non-zero regions.
         let mut spec = InvocationSpec::new(
             strategy,
             trace,
             self.snapshot.restored_memory(),
             self.snapshot.mem_file(),
         );
-        spec.nonzero_regions = self.snapshot.nonzero_regions();
         spec.ls = Some(self.ls.clone());
         spec.ls_file = Some(self.ls_file);
         spec.ws = Some(self.ws.clone());
@@ -302,6 +303,7 @@ mod tests {
         assert!(spec.ws.is_some());
         assert!(spec.reap_ws.is_some());
         assert_eq!(spec.mem_file, a.snapshot.mem_file());
+        assert_eq!(spec.nonzero_regions, a.snapshot.nonzero_regions());
         assert!(spec.verify_mappings);
     }
 

@@ -14,43 +14,23 @@
 //! resident in the address space.
 
 use crate::addr::{PageNum, PageRange};
-use crate::page_table::{PageState, PageTable};
+use crate::page_table::PageTable;
 use crate::share::SharedPages;
-use crate::vma::{AddressSpace, Resolved};
-
-/// Returns the in-core bitmap for `range` of the mapped guest region,
-/// exactly as `mincore` would report it.
-pub fn mincore(
-    range: PageRange,
-    aspace: &AddressSpace,
-    pt: &PageTable,
-    cache: &SharedPages,
-) -> Vec<bool> {
-    range
-        .iter()
-        .map(|p| page_in_core(p, aspace, pt, cache))
-        .collect()
-}
-
-/// In-core test for a single page.
-pub fn page_in_core(
-    page: PageNum,
-    aspace: &AddressSpace,
-    pt: &PageTable,
-    cache: &SharedPages,
-) -> bool {
-    match aspace.resolve(page) {
-        Some(Resolved::File { file, file_page }) => cache.contains(file, file_page),
-        Some(Resolved::Anonymous) => pt.state(page) != PageState::NotPresent,
-        None => false,
-    }
-}
+use crate::vma::{AddressSpace, Backing};
 
 /// Scans `range` and returns pages that are in core now but absent from
 /// `already_seen` (a bitmap indexed from `range.start`), updating
 /// `already_seen` in place. This is the incremental scan the FaaSnap
 /// daemon performs repeatedly during the record phase (§5): each call
 /// returns the *newly present* pages, in address order.
+///
+/// The scan walks the VMAs in address order and asks each backing for its
+/// resident pages directly — the page cache's residency bitmap for a file
+/// mapping, the page table for an anonymous one — so a scan costs
+/// O(resident pages) plus a word per 64 file pages, not a VMA lookup and a
+/// cache probe per page of `range`. The tests hold it to a per-page
+/// oracle: it returns exactly what resolving every page of `range` through
+/// the VMAs and testing its residency would.
 pub fn scan_new_pages(
     range: PageRange,
     aspace: &AddressSpace,
@@ -64,10 +44,25 @@ pub fn scan_new_pages(
         "bitmap sized to range"
     );
     let mut new_pages = Vec::new();
-    for (i, p) in range.iter().enumerate() {
-        if !already_seen[i] && page_in_core(p, aspace, pt, cache) {
-            already_seen[i] = true;
-            new_pages.push(p);
+    let mut visit = |page: PageNum| {
+        if let Some(seen) = already_seen.get_mut((page - range.start) as usize) {
+            if !*seen {
+                *seen = true;
+                new_pages.push(page);
+            }
+        }
+    };
+    for vma in aspace.iter() {
+        let r = vma.range.intersect(&range);
+        if r.is_empty() {
+            continue;
+        }
+        match vma.backing {
+            Backing::File { file, offset_page } => {
+                let first = offset_page + (r.start - vma.range.start);
+                cache.for_each_resident(file, first, r.len(), |fp| visit(r.start + (fp - first)));
+            }
+            Backing::Anonymous => pt.for_each_present(r, &mut visit),
         }
     }
     new_pages
@@ -76,8 +71,45 @@ pub fn scan_new_pages(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vma::Backing;
+    use crate::page_table::PageState;
+    use crate::vma::Resolved;
+    use proptest::prelude::*;
+    use sim_storage::chunked::{ChunkExtent, ChunkedFile};
     use sim_storage::file::FileId;
+
+    /// The per-page reference: resolve the page through the VMAs, then
+    /// test the backing file page's cache residency or the anonymous
+    /// page's presence.
+    fn page_in_core(
+        page: PageNum,
+        aspace: &AddressSpace,
+        pt: &PageTable,
+        cache: &SharedPages,
+    ) -> bool {
+        match aspace.resolve(page) {
+            Some(Resolved::File { file, file_page }) => cache.contains(file, file_page),
+            Some(Resolved::Anonymous) => pt.state(page) != PageState::NotPresent,
+            None => false,
+        }
+    }
+
+    /// [`scan_new_pages`] as a probe of every page of `range`.
+    fn oracle_scan(
+        range: PageRange,
+        aspace: &AddressSpace,
+        pt: &PageTable,
+        cache: &SharedPages,
+        already_seen: &mut [bool],
+    ) -> Vec<PageNum> {
+        let mut new_pages = Vec::new();
+        for (i, p) in range.iter().enumerate() {
+            if !already_seen[i] && page_in_core(p, aspace, pt, cache) {
+                already_seen[i] = true;
+                new_pages.push(p);
+            }
+        }
+        new_pages
+    }
 
     fn world() -> (AddressSpace, PageTable, SharedPages) {
         let mut a = AddressSpace::new();
@@ -106,11 +138,9 @@ mod tests {
         // are in core even though the guest never faulted on them.
         let (a, pt, mut c) = world();
         c.insert_range(FileId(1), 20, 8);
-        let bits = mincore(PageRange::new(18, 30), &a, &pt, &c);
-        assert_eq!(
-            bits,
-            vec![false, false, true, true, true, true, true, true, true, true, false, false]
-        );
+        let mut seen = vec![false; 12];
+        let pages = scan_new_pages(PageRange::new(18, 30), &a, &pt, &c, &mut seen);
+        assert_eq!(pages, (20..28).collect::<Vec<_>>());
         assert_eq!(pt.rss_pages(), 0, "guest never touched anything");
     }
 
@@ -122,6 +152,9 @@ mod tests {
         assert!(page_in_core(60, &a, &pt, &c));
         pt.set_state(61, PageState::HostPte);
         assert!(page_in_core(61, &a, &pt, &c), "host-PTE pages are resident");
+        let mut seen = vec![false; 100];
+        let pages = scan_new_pages(PageRange::new(0, 100), &a, &pt, &c, &mut seen);
+        assert_eq!(pages, vec![60, 61]);
     }
 
     #[test]
@@ -150,5 +183,81 @@ mod tests {
         let (a, pt, c) = world();
         let mut seen = vec![false; 3];
         scan_new_pages(PageRange::new(0, 50), &a, &pt, &c, &mut seen);
+    }
+
+    /// Guest pages in the differential test.
+    const GUEST: u64 = 256;
+    /// Store file the chunk-mapped file 3 translates onto.
+    const STORE: FileId = FileId(9);
+
+    fn file_of(i: u64) -> FileId {
+        [STORE, FileId(1), FileId(2), FileId(3)][(i % 4) as usize]
+    }
+
+    proptest! {
+        /// The VMA walk returns exactly the per-page oracle's pages, in the
+        /// same order, and sets the same `seen` bits — across MAP_FIXED
+        /// overlays, chunk-mapped files with holes, LRU evictions, cache
+        /// drops and page-table churn. After every step the cache's
+        /// residency bitmaps hold exactly the LRU map's keys and its
+        /// counts equal naive ones.
+        #[test]
+        fn scan_matches_per_page_oracle(
+            capacity in 8u64..160,
+            chunks in proptest::collection::vec((any::<bool>(), 0u64..24), 8..12),
+            bounds in (0u64..48, 0u64..48),
+            ops in proptest::collection::vec((0u64..8, 0u64..GUEST, 1u64..48, 0u64..4, 0u64..200), 1..48),
+        ) {
+            // File 3: 8-page chunks, unmapped chunks are holes, mapped
+            // ones land anywhere in the store file (dedup may alias).
+            let mut cf = ChunkedFile::new(8);
+            for (idx, &(mapped, slot)) in chunks.iter().enumerate() {
+                if mapped {
+                    cf.map_chunk(idx as u64, ChunkExtent { file: STORE, page: slot * 8 });
+                }
+            }
+            let mut cache = SharedPages::new(capacity);
+            cache.share_mut().map_file(FileId(3), cf);
+            let mut aspace = AddressSpace::new();
+            aspace.map_fixed(PageRange::new(0, GUEST), Backing::Anonymous);
+            let mut pt = PageTable::new(GUEST);
+            let range = PageRange::new(bounds.0, GUEST + 16 - bounds.1);
+            let mut seen = vec![false; range.len() as usize];
+            let mut oracle_seen = seen.clone();
+            for (kind, page, len, which, extra) in ops {
+                let file = file_of(which);
+                let window = PageRange::with_len(page, len.min(GUEST - page));
+                match kind {
+                    0 => {
+                        let backing = if which == 0 {
+                            Backing::Anonymous
+                        } else {
+                            Backing::File { file, offset_page: extra }
+                        };
+                        aspace.map_fixed(window, backing);
+                    }
+                    1 => cache.insert_range(file, page + extra, len),
+                    2 => cache.insert(file, page),
+                    3 => {
+                        cache.touch(file, page);
+                    }
+                    4 => {
+                        let mut c = cache.cache().clone();
+                        c.drop_file(file);
+                        cache.set_cache(c);
+                    }
+                    5 if extra % 4 == 0 => cache.drop_cache(),
+                    _ => {
+                        let state = [PageState::NotPresent, PageState::HostPte, PageState::Mapped];
+                        pt.set_range(window, state[(extra % 3) as usize]);
+                    }
+                }
+                cache.cache().assert_residency_exact(file, extra, len);
+                let got = scan_new_pages(range, &aspace, &pt, &cache, &mut seen);
+                let want = oracle_scan(range, &aspace, &pt, &cache, &mut oracle_seen);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&seen, &oracle_seen);
+            }
+        }
     }
 }

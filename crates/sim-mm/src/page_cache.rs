@@ -12,7 +12,10 @@
 //!
 //! The model is an exact LRU over `(file, page)` keys with a lazily
 //! compacted recency queue, plus explicit drop operations mirroring the
-//! evaluation's `drop_caches` between runs (§6.1).
+//! evaluation's `drop_caches` between runs (§6.1). A per-file residency
+//! bitmap mirrors the LRU map's key set and answers every pure residency
+//! query, so `mincore` scans and per-file counts cost O(resident pages)
+//! plus one word per 64 pages, not a probe per page of the guest.
 
 use std::collections::VecDeque;
 
@@ -31,6 +34,10 @@ pub struct PageCache {
     /// deterministic map; the eviction rebuild path sorts by stamp, so it
     /// never depends on iteration order.
     resident: DetMap<Key, u64>,
+    /// Residency bitmap per file: bit `p` is set iff `(file, p)` is a key
+    /// of `resident`. Updated at every point `resident` gains or loses a
+    /// key.
+    bitmaps: DetMap<FileId, Bitmap>,
     /// Recency queue: (stamp, key); stale entries skipped on eviction.
     queue: VecDeque<(u64, Key)>,
     next_stamp: u64,
@@ -48,6 +55,7 @@ impl PageCache {
         PageCache {
             capacity_pages,
             resident: DetMap::new(),
+            bitmaps: DetMap::new(),
             queue: VecDeque::new(),
             next_stamp: 0,
             insertions: 0,
@@ -70,7 +78,7 @@ impl PageCache {
     /// True if `page` of `file` is cached. Does not update recency or
     /// hit/miss counters (pure query, e.g. for `mincore`).
     pub fn contains(&self, file: FileId, page: u64) -> bool {
-        self.resident.contains_key(&(file, page))
+        self.bitmaps.get(&file).is_some_and(|b| b.get(page))
     }
 
     /// Lookup on the fault path: updates recency and hit/miss counters.
@@ -96,6 +104,7 @@ impl PageCache {
         let prev = self.resident.insert((file, page), stamp);
         self.queue.push_back((stamp, (file, page)));
         if prev.is_none() {
+            self.bitmaps.or_insert_with(file, Bitmap::default).set(page);
             self.insertions += 1;
             self.evict_if_needed();
         }
@@ -110,25 +119,34 @@ impl PageCache {
 
     /// Number of pages of `file` currently cached.
     pub fn resident_of(&self, file: FileId) -> u64 {
-        self.resident.keys().filter(|(f, _)| *f == file).count() as u64
+        self.resident_in(file, 0, u64::MAX)
     }
 
     /// Number of cached pages of `file` within `[start, start + len)`.
     pub fn resident_in(&self, file: FileId, start: u64, len: u64) -> u64 {
-        self.resident
-            .keys()
-            .filter(|(f, p)| *f == file && (start..start + len).contains(p))
-            .count() as u64
+        self.bitmaps
+            .get(&file)
+            .map_or(0, |b| b.count_in(start, start.saturating_add(len)))
+    }
+
+    /// Calls `f` with every cached page of `file` within
+    /// `[start, start + len)`, in ascending order.
+    pub fn for_each_resident(&self, file: FileId, start: u64, len: u64, f: impl FnMut(u64)) {
+        if let Some(b) = self.bitmaps.get(&file) {
+            b.for_each_in(start, start.saturating_add(len), f);
+        }
     }
 
     /// Drops every cached page of `file` (per-file cache drop).
     pub fn drop_file(&mut self, file: FileId) {
         self.resident.retain(|(f, _), _| *f != file);
+        self.bitmaps.remove(&file);
     }
 
     /// Drops everything (`echo 3 > /proc/sys/vm/drop_caches`).
     pub fn drop_all(&mut self) {
         self.resident.clear();
+        self.bitmaps.clear();
         self.queue.clear();
     }
 
@@ -156,6 +174,9 @@ impl PageCache {
                     // later, or already dropped).
                     if self.resident.get(&key) == Some(&stamp) {
                         self.resident.remove(&key);
+                        if let Some(b) = self.bitmaps.get_mut(&key.0) {
+                            b.clear(key.1);
+                        }
                         self.evictions += 1;
                     }
                 }
@@ -170,6 +191,91 @@ impl PageCache {
                 }
             }
         }
+    }
+}
+
+/// A growable bitmap over page numbers.
+#[derive(Clone, Debug, Default)]
+struct Bitmap {
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    fn get(&self, page: u64) -> bool {
+        self.words
+            .get((page / 64) as usize)
+            .is_some_and(|w| (w >> (page % 64)) & 1 == 1)
+    }
+
+    fn set(&mut self, page: u64) {
+        let word = (page / 64) as usize;
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        if let Some(w) = self.words.get_mut(word) {
+            *w |= 1 << (page % 64);
+        }
+    }
+
+    fn clear(&mut self, page: u64) {
+        if let Some(w) = self.words.get_mut((page / 64) as usize) {
+            *w &= !(1 << (page % 64));
+        }
+    }
+
+    /// The stored words overlapping `[start, end)` as `(first page, bits)`
+    /// pairs, with bits outside the window masked off.
+    fn window(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let words = self.words.get((start / 64) as usize..).unwrap_or_default();
+        (start / 64 * 64..end)
+            .step_by(64)
+            .zip(words)
+            .map(move |(base, &w)| {
+                let lo = start.saturating_sub(base);
+                let hi = (end - base).min(64);
+                let below_hi = if hi == 64 { !0 } else { (1u64 << hi) - 1 };
+                (base, w & below_hi & (!0u64 << lo))
+            })
+    }
+
+    fn count_in(&self, start: u64, end: u64) -> u64 {
+        self.window(start, end)
+            .map(|(_, w)| u64::from(w.count_ones()))
+            .sum()
+    }
+
+    fn for_each_in(&self, start: u64, end: u64, mut f: impl FnMut(u64)) {
+        for (base, mut w) in self.window(start, end) {
+            while w != 0 {
+                f(base + u64::from(w.trailing_zeros()));
+                w &= w - 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl PageCache {
+    /// Asserts that the bitmaps hold exactly the LRU map's keys and that
+    /// `resident_of(file)` and `resident_in(file, start, len)` equal naive
+    /// counts over those keys.
+    pub(crate) fn assert_residency_exact(&self, file: FileId, start: u64, len: u64) {
+        let mut keys: Vec<Key> = self.resident.keys().copied().collect();
+        keys.sort_unstable();
+        let mut bits = Vec::new();
+        for (f, b) in self.bitmaps.iter() {
+            b.for_each_in(0, u64::MAX, |p| bits.push((*f, p)));
+        }
+        bits.sort_unstable();
+        assert_eq!(bits, keys, "bitmaps diverged from the LRU map");
+        let of = keys.iter().filter(|(f, _)| *f == file).count() as u64;
+        assert_eq!(self.resident_of(file), of);
+        let window = start..start + len;
+        let within = keys
+            .iter()
+            .filter(|(f, p)| *f == file && window.contains(p))
+            .count() as u64;
+        assert_eq!(self.resident_in(file, start, len), within);
     }
 }
 

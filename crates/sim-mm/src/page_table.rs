@@ -92,6 +92,21 @@ impl PageTable {
         }
     }
 
+    /// Calls `f` with every page of `range` present in either state, in
+    /// ascending order. Pages beyond the table are never present.
+    pub fn for_each_present(&self, range: PageRange, mut f: impl FnMut(PageNum)) {
+        let end = range.end.min(self.total_pages());
+        let states = self
+            .states
+            .get(range.start as usize..end as usize)
+            .unwrap_or_default();
+        for (page, &s) in (range.start..).zip(states) {
+            if s != PageState::NotPresent as u8 {
+                f(page);
+            }
+        }
+    }
+
     /// Resident set size in pages (present in either state).
     pub fn rss_pages(&self) -> u64 {
         self.rss_pages

@@ -192,6 +192,18 @@ impl SharedPages {
         }
     }
 
+    /// Calls `f` with every cached logical page of `file` within
+    /// `[start, start + len)`, in ascending order: each canonical run's
+    /// resident pages, translated back to logical page numbers.
+    pub fn for_each_resident(&self, file: FileId, start: u64, len: u64, mut f: impl FnMut(u64)) {
+        let mut logical = start;
+        self.share.for_each_run(file, start, len, |canon, page, n| {
+            self.cache
+                .for_each_resident(canon, page, n, |p| f(logical + (p - page)));
+            logical += n;
+        });
+    }
+
     /// Drops the entire cache (between-test hygiene).
     pub fn drop_cache(&mut self) {
         self.cache.drop_all();

@@ -82,6 +82,12 @@ assert hosts >= 1000, f"cluster_mega hosts {hosts} < 1000"
 print(f"cluster_mega: {served} invocations across {hosts} hosts")
 EOF
 
+echo "==> repo benchmark self-test"
+# Runs every benchmark workload at reduced size, twice plus a traced run:
+# no failed operation, traced digests equal untraced ones, and the
+# printed metric names and units equal BENCHMARK.json's.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench trajectory: regression-gate self-test, then compare"
 # The self-test proves a 2x injected slowdown trips the gate; the
 # compare then diffs this machine's run against the latest committed

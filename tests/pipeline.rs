@@ -221,3 +221,38 @@ fn setup_times_reflect_strategy_work() {
         vanilla.report.setup_time
     );
 }
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn record_phase_outputs_are_pinned() {
+    // The mincore scan order defines working-set groups (§4.3) and the
+    // fault order defines REAP's prefetch order, so both are pinned
+    // exactly: a faster scan must return the same pages in the same order.
+    let (p, _) = recorded_platform("json");
+    let a = p.registry().artifacts("json", "t").unwrap();
+    let ws = fnv1a(
+        a.ws.pages_with_groups()
+            .flat_map(|(pg, g)| [pg, u64::from(g)]),
+    );
+    let reap = fnv1a(a.reap_ws.pages().iter().copied());
+    assert_eq!(
+        (a.ws.len(), ws, a.reap_ws.len(), reap),
+        (
+            4602,
+            17_451_011_878_197_614_553,
+            3229,
+            5_196_561_534_067_540_856
+        ),
+        "record-phase outputs drifted"
+    );
+}
