@@ -41,6 +41,9 @@
 //! aggregates. `--repeat <n>` reruns the identical fleet n times in
 //! one process — asserting byte-identical metrics — so benchmarks can
 //! divide wall time by n and factor out the process-startup floor.
+//! `cluster` exits with status 2 on a flag it does not read, and on
+//! `--hosts/--tenants/--rate/--skew/--horizon` next to `--smoke` or
+//! `--mega`, whose fleets fix those values.
 //!
 //! The fleet runs a burn-rate SLO monitor (latency + cold-start error
 //! budgets, long/short windows) on every invocation; it is silent on
@@ -124,7 +127,51 @@ impl Args {
             .parse()
             .unwrap_or_else(|_| die(&format!("--{name} must be a number")))
     }
+
+    /// The first given flag among `names`, if any.
+    fn first_of<'a>(&self, names: &[&'a str]) -> Option<&'a str> {
+        names.iter().copied().find(|n| self.flags.contains_key(*n))
+    }
+
+    /// Dies on any flag `cmd` does not read, instead of ignoring it.
+    fn reject_unknown(&self, cmd: &str, known: &[&str]) {
+        if let Some(name) = self.flags.keys().find(|k| !known.contains(&k.as_str())) {
+            die(&format!("{cmd} does not take --{name}"));
+        }
+    }
 }
+
+/// Every flag `faasnapd cluster` reads.
+const CLUSTER_FLAGS: &[&str] = &[
+    "hosts",
+    "seed",
+    "policy",
+    "tenants",
+    "rate",
+    "skew",
+    "horizon",
+    "snapshot-budget",
+    "dedup",
+    "chunk-bytes",
+    "fault-prob",
+    "fault-retry-ms",
+    "degrade-prob",
+    "degrade-ms",
+    "slo-latency-ms",
+    "slo-burn",
+    "smoke",
+    "mega",
+    "repeat",
+    "branch",
+    "metrics-out",
+    "trace-out",
+    "profile-out",
+    "self-profile-out",
+];
+
+/// The `cluster` flags that shape the demo fleet; the `--smoke` and
+/// `--mega` presets fix all of them.
+const FLEET_SHAPE_FLAGS: &[&str] = &["hosts", "tenants", "rate", "skew", "horizon"];
 
 fn die(msg: &str) -> ! {
     eprintln!("faasnapd: {msg}");
@@ -411,6 +458,15 @@ fn cmd_policy(args: &Args) {
 }
 
 fn cmd_cluster(args: &Args) {
+    args.reject_unknown("cluster", CLUSTER_FLAGS);
+    if let (Some(preset), Some(shape)) = (
+        args.first_of(&["smoke", "mega"]),
+        args.first_of(FLEET_SHAPE_FLAGS),
+    ) {
+        die(&format!(
+            "--{shape} cannot be combined with --{preset}, which fixes the fleet"
+        ));
+    }
     let hosts: usize = args.num("hosts", "8");
     let seed: u64 = args.num("seed", "42");
     let tenants: usize = args.num("tenants", "36");

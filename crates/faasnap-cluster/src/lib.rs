@@ -20,8 +20,9 @@
 //!   model that makes restores faster on hosts that recently served the
 //!   same function (the locality signal the router exploits).
 //! * [`store`] — the store-aware snapshot registry backing [`hostsim`]:
-//!   tenant snapshots become layers of content-addressed chunk
-//!   references in a [`faasnap_store::SnapshotStore`], the budget
+//!   each tenant snapshot is a private layer of content-addressed chunk
+//!   references over a layer its function family shares, in a
+//!   [`faasnap_store::SnapshotStore`], the budget
 //!   charges unique (deduplicated) bytes, and eviction drops only
 //!   chunks no surviving snapshot references — letting far more
 //!   functions stay restorable per host under Zipf skew.
@@ -65,4 +66,4 @@ pub use metrics::FleetMetrics;
 pub use router::RoutePolicy;
 pub use routeridx::RouterIndex;
 pub use slo::{AlertEvent, SloAlert, SloConfig, SloMonitor};
-pub use store::{snapshot_chunks, StoreParams, StoreRegistry};
+pub use store::{family_chunks, tenant_chunks, StoreParams, StoreRegistry};

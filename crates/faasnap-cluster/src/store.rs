@@ -6,15 +6,22 @@
 //! reality most of those bytes are identical across snapshots: zero
 //! pages, the language runtime, and the function family's shared image.
 //! [`StoreRegistry`] keeps the same LRU *policy* surface but accounts
-//! residency through a content-addressed [`SnapshotStore`]: each tenant
-//! snapshot becomes one accounting layer of chunk references with
-//! synthetic provenance ([`snapshot_chunks`]), eviction drops snapshots
-//! until the store's *unique* bytes fit the budget, and chunks shared
-//! with surviving snapshots stay resident — evicting a tenant only
-//! frees what nobody else references.
+//! residency through a content-addressed [`SnapshotStore`], with chunk
+//! identities from a synthetic provenance model. Each tenant snapshot
+//! is composed of two accounting layers: the *family layer*
+//! ([`family_chunks`]: zero, runtime and family-image chunks), shared by
+//! every resident tenant of the same function family and snapshot size,
+//! and the *tenant layer* ([`tenant_chunks`]: the private rest). A cold
+//! boot therefore inserts only the tenant's own chunk references, plus
+//! the family layer when it is the family's first resident tenant, and
+//! an eviction releases only those. Eviction drops snapshots until the
+//! store's *unique* bytes fit the budget; chunks shared with surviving
+//! snapshots stay resident, so evicting a tenant frees only what nobody
+//! else references.
 //!
-//! With `dedup: false` every chunk identity is tenant-unique, so unique
-//! bytes equal the sum of snapshot sizes and the registry reproduces
+//! With `dedup: false` every chunk identity is tenant-unique: there is
+//! no family layer, each snapshot is its tenant layer alone, unique
+//! bytes equal the sum of snapshot sizes, and the registry reproduces
 //! whole-file LRU accounting byte-for-byte — the ablation baseline.
 //!
 //! Determinism: chunk identities come from [`ChunkHash::synthetic`]
@@ -23,8 +30,8 @@
 
 use std::collections::VecDeque;
 
-use faasnap_store::{ChunkHash, LayerKind, SnapshotId, SnapshotStore, StoreConfig};
-use sim_core::detmap::DetMap;
+use faasnap_store::{ChunkHash, LayerId, LayerKind, SnapshotId, SnapshotStore, StoreConfig};
+use sim_core::detmap::{DetMap, DetSet};
 use sim_core::units::PAGE_SIZE;
 
 use crate::arrival::TenantId;
@@ -49,53 +56,79 @@ impl Default for StoreParams {
     }
 }
 
-/// The synthetic chunk provenance of one tenant snapshot: which of its
-/// chunks are zero pages, runtime image shared fleet-wide, function
-/// family image shared by same-workload tenants, or tenant-private
-/// state. Returns `(slot, identity, bytes)` triples for
-/// [`SnapshotStore::put_layer_refs`].
+/// The synthetic chunk provenance of a snapshot of `snapshot_bytes`:
+/// `(zero, runtime, family, n)` slot counts out of its
+/// `n = ceil(bytes / chunk_bytes)` chunks.
 ///
-/// The partition (of `n = ceil(bytes / chunk_bytes)` chunks) models the
-/// dedup structure FaaSnap snapshots exhibit: `n/5` zero chunks (one
-/// shared identity), `n/4` runtime chunks (shared by every tenant),
-/// `n/2` family chunks (shared by tenants of the same workload), and
-/// the remainder tenant-private. Private chunks come last so the
-/// partial final chunk — `bytes - (n-1)·chunk_bytes` — is always
-/// private; with dedup off the per-chunk bytes therefore sum to exactly
-/// `snapshot_bytes`, making the no-dedup registry byte-identical to the
-/// whole-file baseline.
-pub fn snapshot_chunks(
+/// The partition models the dedup structure FaaSnap snapshots exhibit:
+/// `n/5` zero chunks (one shared identity), `n/4` runtime chunks (shared
+/// by every tenant), `n/2` family chunks (shared by tenants of the same
+/// workload), and the remainder — at least one chunk — tenant-private.
+/// With dedup off all `n` chunks are tenant-private.
+fn partition(params: StoreParams, snapshot_bytes: u64) -> (u64, u64, u64, u64) {
+    assert!(params.chunk_bytes > 0, "chunk_bytes must be nonzero");
+    let n = snapshot_bytes.div_ceil(params.chunk_bytes);
+    if params.dedup {
+        (n / 5, n / 4, n / 2, n)
+    } else {
+        (0, 0, 0, n)
+    }
+}
+
+/// The shared slots of a `family` snapshot of `snapshot_bytes`: its
+/// zero, runtime and family chunks, slots `0..k`, as `(slot, identity,
+/// bytes)` triples for [`SnapshotStore::put_layer_refs`]. Takes no
+/// tenant, so every tenant of the family lists the same identities.
+/// Empty with dedup off.
+pub fn family_chunks(
+    params: StoreParams,
+    family: u64,
+    snapshot_bytes: u64,
+) -> Vec<(u64, ChunkHash, u64)> {
+    let (zero, runtime, fam, _) = partition(params, snapshot_bytes);
+    // The last chunk is always a tenant slot, so every shared slot is a
+    // full chunk.
+    let bytes = params.chunk_bytes;
+    (0..zero + runtime + fam)
+        .map(|idx| {
+            let hash = if idx < zero {
+                ChunkHash::synthetic(&[0, bytes])
+            } else if idx < zero + runtime {
+                ChunkHash::synthetic(&[1, idx, bytes])
+            } else {
+                ChunkHash::synthetic(&[2, family, idx, bytes])
+            };
+            (idx, hash, bytes)
+        })
+        .collect()
+}
+
+/// The private slots of `tenant`'s snapshot: slots `k..n` after
+/// [`family_chunks`]' `0..k`, always including the partial final chunk
+/// of `bytes - (n-1)·chunk_bytes`. The bytes of both functions' slots
+/// sum to exactly `snapshot_bytes`, so with dedup off — where this is
+/// every slot — the registry is byte-identical to the whole-file
+/// baseline.
+pub fn tenant_chunks(
     params: StoreParams,
     family: u64,
     tenant: TenantId,
     snapshot_bytes: u64,
 ) -> Vec<(u64, ChunkHash, u64)> {
-    assert!(params.chunk_bytes > 0, "chunk_bytes must be nonzero");
-    let n = snapshot_bytes.div_ceil(params.chunk_bytes);
-    let zero = n / 5;
-    let runtime = n / 4;
-    let fam = n / 2;
-    let mut out = Vec::with_capacity(n as usize);
-    for idx in 0..n {
-        let bytes = if idx == n - 1 {
-            snapshot_bytes - (n - 1) * params.chunk_bytes
-        } else {
-            params.chunk_bytes
-        };
-        let hash = if !params.dedup {
-            ChunkHash::synthetic(&[4, family, tenant as u64, idx, bytes])
-        } else if idx < zero {
-            ChunkHash::synthetic(&[0, bytes])
-        } else if idx < zero + runtime {
-            ChunkHash::synthetic(&[1, idx, bytes])
-        } else if idx < zero + runtime + fam {
-            ChunkHash::synthetic(&[2, family, idx, bytes])
-        } else {
-            ChunkHash::synthetic(&[3, family, tenant as u64, idx, bytes])
-        };
-        out.push((idx, hash, bytes));
-    }
-    out
+    let (zero, runtime, fam, n) = partition(params, snapshot_bytes);
+    // Dedup-off identities carry their own tag: they cover every slot.
+    let tag = if params.dedup { 3 } else { 4 };
+    (zero + runtime + fam..n)
+        .map(|idx| {
+            let bytes = if idx + 1 == n {
+                snapshot_bytes - idx * params.chunk_bytes
+            } else {
+                params.chunk_bytes
+            };
+            let hash = ChunkHash::synthetic(&[tag, family, tenant as u64, idx, bytes]);
+            (idx, hash, bytes)
+        })
+        .collect()
 }
 
 /// Byte-budgeted LRU registry over store-backed tenant snapshots.
@@ -105,6 +138,14 @@ pub fn snapshot_chunks(
 /// budget against the store's unique bytes: inserting a snapshot whose
 /// chunks are already resident costs almost nothing, and eviction frees
 /// only chunks no surviving snapshot references.
+///
+/// Each resident snapshot is `[family layer, tenant layer]`. The family
+/// layer of a `(family, snapshot_bytes)` pair is created by its first
+/// resident tenant and forgotten when the store frees it with its last,
+/// so an insert or eviction costs O(tenant slots), not O(snapshot
+/// chunks), while the set of resident chunk identities — and with it
+/// every byte count and eviction decision — is what one flat layer per
+/// snapshot would give.
 #[derive(Clone, Debug)]
 pub struct StoreRegistry {
     store: SnapshotStore,
@@ -112,7 +153,12 @@ pub struct StoreRegistry {
     budget: u64,
     /// LRU order; front is the next eviction victim.
     lru: VecDeque<TenantId>,
-    resident: DetMap<TenantId, SnapshotId>,
+    /// Resident tenant → its snapshot and the `(family, snapshot_bytes)`
+    /// key of the family layer beneath it.
+    resident: DetMap<TenantId, (SnapshotId, (u64, u64))>,
+    /// Family layers by `(family, snapshot_bytes)`, present exactly while
+    /// some resident snapshot lists the layer. Empty with dedup off.
+    families: DetMap<(u64, u64), LayerId>,
 }
 
 impl StoreRegistry {
@@ -125,6 +171,7 @@ impl StoreRegistry {
             budget,
             lru: VecDeque::new(),
             resident: DetMap::new(),
+            families: DetMap::new(),
         }
     }
 
@@ -190,24 +237,52 @@ impl StoreRegistry {
     /// whole-file registry's oversize rule.
     pub fn insert(&mut self, tenant: TenantId, family: u64, snapshot_bytes: u64) -> Vec<TenantId> {
         self.remove(tenant);
-        let chunks = snapshot_chunks(self.params, family, tenant, snapshot_bytes);
-        // The snapshot's standalone footprint: distinct identities only.
-        let mut solo: DetMap<ChunkHash, u64> = DetMap::new();
-        for &(_, hash, bytes) in &chunks {
-            solo.or_insert_with(hash, || bytes);
-        }
-        if solo.values().sum::<u64>() > self.budget {
-            return vec![tenant];
-        }
-        let layer = self.store.put_layer_refs(LayerKind::Base, chunks);
-        let id = match self.store.compose_snapshot(&[layer], snapshot_bytes) {
+        let key = (family, snapshot_bytes);
+        // A snapshot's standalone footprint depends only on its family
+        // and size, so a resident family layer proves this one fits.
+        let base = match self.families.get(&key) {
+            Some(&layer) => Some(layer),
+            None => {
+                let shared = family_chunks(self.params, family, snapshot_bytes);
+                // The footprint counts each distinct identity once; only
+                // shared slots repeat one (the zero chunks).
+                let mut seen = DetSet::new();
+                let repeated: u64 = shared
+                    .iter()
+                    .filter(|&&(_, hash, _)| !seen.insert(hash))
+                    .map(|&(_, _, bytes)| bytes)
+                    .sum();
+                if snapshot_bytes - repeated > self.budget {
+                    return vec![tenant];
+                }
+                if shared.is_empty() {
+                    None
+                } else {
+                    let layer = self.store.put_layer_refs(LayerKind::Base, shared);
+                    self.families.insert(key, layer);
+                    Some(layer)
+                }
+            }
+        };
+        let kind = if base.is_some() {
+            LayerKind::Delta
+        } else {
+            LayerKind::Base
+        };
+        let private = tenant_chunks(self.params, family, tenant, snapshot_bytes);
+        let own = self.store.put_layer_refs(kind, private);
+        let layers: &[LayerId] = match base {
+            Some(base) => &[base, own],
+            None => &[own],
+        };
+        let id = match self.store.compose_snapshot(layers, snapshot_bytes) {
             Ok(id) => id,
-            // The layer was allocated one line above; composing over it
+            // Both layers exist one line above; composing over them
             // cannot fail. Refuse residency rather than panic.
             Err(_) => return vec![tenant],
         };
         self.lru.push_back(tenant);
-        self.resident.insert(tenant, id);
+        self.resident.insert(tenant, (id, key));
         let mut evicted = Vec::new();
         // The new snapshot fits alone, so this terminates before
         // reaching it at the back of the queue.
@@ -215,9 +290,7 @@ impl StoreRegistry {
             let Some(victim) = self.lru.pop_front() else {
                 break;
             };
-            if let Some(sid) = self.resident.remove(&victim) {
-                let _ = self.store.drop_snapshot(sid);
-            }
+            self.drop_resident(victim);
             evicted.push(victim);
         }
         evicted
@@ -226,12 +299,30 @@ impl StoreRegistry {
     /// Removes `tenant` outright (deliberate invalidation), freeing only
     /// chunks no surviving snapshot references.
     pub fn remove(&mut self, tenant: TenantId) {
-        if let Some(id) = self.resident.remove(&tenant) {
-            let _ = self.store.drop_snapshot(id);
+        if self.drop_resident(tenant) {
             if let Some(pos) = self.lru.iter().position(|t| *t == tenant) {
                 self.lru.remove(pos);
             }
         }
+    }
+
+    /// Drops `tenant`'s snapshot, if resident, and forgets its family
+    /// layer once the store reports that layer freed. Leaves the LRU
+    /// order to the caller. Returns whether a snapshot was dropped.
+    fn drop_resident(&mut self, tenant: TenantId) -> bool {
+        let Some((id, key)) = self.resident.remove(&tenant) else {
+            return false;
+        };
+        if let Ok(freed) = self.store.drop_snapshot(id) {
+            if self
+                .families
+                .get(&key)
+                .is_some_and(|layer| freed.contains(layer))
+            {
+                self.families.remove(&key);
+            }
+        }
+        true
     }
 }
 
@@ -342,6 +433,64 @@ mod tests {
             chunked >= 5 * whole,
             "dedup fits {chunked}, whole-file fits {whole}"
         );
+    }
+
+    #[test]
+    fn family_and_tenant_slots_partition_the_snapshot() {
+        for dedup in [true, false] {
+            let p = params(dedup);
+            for n in 1..=1024u64 {
+                // Three pages into the last chunk: a partial final chunk.
+                let bytes = (n - 1) * p.chunk_bytes + 3 * PAGE_SIZE;
+                let shared = family_chunks(p, 5, bytes);
+                let own = tenant_chunks(p, 5, 1, bytes);
+                let slots: Vec<u64> = shared.iter().chain(&own).map(|c| c.0).collect();
+                assert_eq!(slots, (0..n).collect::<Vec<_>>(), "n = {n}");
+                let total: u64 = shared.iter().chain(&own).map(|c| c.2).sum();
+                assert_eq!(total, bytes, "n = {n}");
+                assert_eq!(own.last().map(|c| c.0), Some(n - 1), "n = {n}");
+                let other: DetSet<ChunkHash> = tenant_chunks(p, 5, 2, bytes)
+                    .into_iter()
+                    .map(|c| c.1)
+                    .collect();
+                assert!(own.iter().all(|c| !other.contains(&c.1)), "n = {n}");
+                if !dedup {
+                    assert!(shared.is_empty(), "n = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn family_layer_is_shared_and_freed_with_its_last_tenant() {
+        let mut reg = StoreRegistry::new(1 << 40, params(true));
+        let bytes = 40 * MB;
+        let shared = family_chunks(params(true), 7, bytes).len() as u64;
+        let own = tenant_chunks(params(true), 7, 0, bytes).len() as u64;
+        let inserted = |reg: &StoreRegistry| reg.store().stats().chunks_inserted;
+        reg.insert(0, 7, bytes);
+        assert_eq!(inserted(&reg), shared + own);
+        // Later tenants of the family insert only their own slots, also
+        // after an earlier tenant left.
+        reg.insert(1, 7, bytes);
+        reg.remove(0);
+        assert_eq!(reg.store().resident_layers(), 2, "family layer kept");
+        reg.insert(2, 7, bytes);
+        assert_eq!(inserted(&reg), shared + 3 * own);
+        assert_eq!(reg.store().resident_layers(), 3);
+        // A different size is a different family layer.
+        reg.insert(3, 7, bytes + MB);
+        assert_eq!(reg.store().resident_layers(), 5);
+        for tenant in 1..=3 {
+            reg.remove(tenant);
+        }
+        assert_eq!(reg.store().resident_layers(), 0);
+        assert_eq!(reg.total_bytes(), 0);
+        // The family's next tenant lays a fresh family layer down.
+        assert!(reg.insert(4, 7, bytes).is_empty());
+        assert!(reg.contains(4));
+        assert_eq!(reg.store().resident_layers(), 2);
+        reg.store().debug_validate().expect("refcounts conserved");
     }
 
     #[test]

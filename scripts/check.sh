@@ -73,6 +73,10 @@ echo "==> cluster_mega: >=10^6 invocations across >=1000 hosts in budget"
 timeout 120 ./target/release/faasnapd cluster --mega --policy snapshot-locality --seed 42 \
     > "$OBS_TMP/cluster_mega.json" \
     || { echo "cluster_mega exceeded its 120 s budget"; exit 1; }
+# The mega aggregates (served, mode mix, latency summary, store bytes)
+# are pinned like the other CLI goldens.
+diff -u tests/golden/cluster_mega.json "$OBS_TMP/cluster_mega.json" \
+    || { echo "CLI cluster_mega.json drifted from tests/golden/cluster_mega.json"; exit 1; }
 python3 - "$OBS_TMP/cluster_mega.json" << 'EOF'
 import json, sys
 run = json.load(open(sys.argv[1]))["runs"][0]

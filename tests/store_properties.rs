@@ -5,26 +5,110 @@
 //!   the sparse page image it was recorded from;
 //! - delta-over-base equivalence: resolving base+delta yields the same
 //!   image as recording the mutated memory flat;
-//! - refcount conservation: random insert/touch/remove sequences on the
-//!   store-aware registry keep the chunk table's internal accounting
-//!   exact (`debug_validate`) and never exceed the budget;
+//! - layered registry == flat registry: random insert/touch/remove
+//!   sequences, with dedup on and off and 2 or 8 MiB chunks, evict the
+//!   same tenants and account the same bytes as a flat oracle (one layer
+//!   per snapshot), keep every refcount exact (`debug_validate`) and
+//!   never exceed the budget;
 //! - fleet determinism: with dedup enabled, a seed produces
-//!   byte-identical fleet JSON;
+//!   byte-identical fleet JSON, and a fleet whose registries evict has
+//!   its JSON pinned;
 //! - capacity: under the same snapshot budget and a Zipf workload,
 //!   chunk dedup keeps ≥5× more distinct function snapshots resident
 //!   than whole-file LRU accounting.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use faasnap_cluster::{run_cluster, ClusterConfig, RoutePolicy, StoreParams, StoreRegistry};
-use faasnap_store::{SnapshotStore, StoreConfig};
+use faasnap_cluster::arrival::TenantId;
+use faasnap_cluster::{
+    family_chunks, run_cluster, tenant_chunks, ClusterConfig, RoutePolicy, StoreParams,
+    StoreRegistry, WorkloadSpec,
+};
+use faasnap_store::{LayerKind, SnapshotId, SnapshotStore, StoreConfig};
 use proptest::prelude::*;
+use sim_core::time::SimDuration;
+use sim_core::units::PAGE_SIZE;
 
 /// A small sparse page image: page index → nonzero token. (The in-tree
 /// proptest shim has no `btree_map`, so collect pairs.)
 fn sparse_image() -> impl Strategy<Value = BTreeMap<u64, u64>> {
     proptest::collection::vec((0u64..256, 1u64..u64::MAX), 0..64)
         .prop_map(|pairs| pairs.into_iter().collect())
+}
+
+/// The flat registry the layered [`StoreRegistry`] must agree with: one
+/// accounting layer of `family_chunks ++ tenant_chunks` per snapshot,
+/// evicted LRU-first until unique bytes fit the budget.
+struct FlatRegistry {
+    store: SnapshotStore,
+    budget: u64,
+    params: StoreParams,
+    lru: VecDeque<TenantId>,
+    resident: BTreeMap<TenantId, SnapshotId>,
+}
+
+impl FlatRegistry {
+    fn new(budget: u64, params: StoreParams) -> Self {
+        let chunk_pages = (params.chunk_bytes / PAGE_SIZE).max(1);
+        FlatRegistry {
+            store: SnapshotStore::new(StoreConfig { chunk_pages }),
+            budget,
+            params,
+            lru: VecDeque::new(),
+            resident: BTreeMap::new(),
+        }
+    }
+
+    fn touch(&mut self, tenant: TenantId) {
+        if let Some(pos) = self.lru.iter().position(|t| *t == tenant) {
+            self.lru.remove(pos);
+            self.lru.push_back(tenant);
+        }
+    }
+
+    fn remove(&mut self, tenant: TenantId) {
+        if let Some(id) = self.resident.remove(&tenant) {
+            self.store.drop_snapshot(id).unwrap();
+            self.lru.retain(|t| *t != tenant);
+        }
+    }
+
+    fn insert(&mut self, tenant: TenantId, family: u64, snapshot_bytes: u64) -> Vec<TenantId> {
+        self.remove(tenant);
+        let mut chunks = family_chunks(self.params, family, snapshot_bytes);
+        chunks.extend(tenant_chunks(self.params, family, tenant, snapshot_bytes));
+        let mut solo = BTreeMap::new();
+        for &(_, hash, bytes) in &chunks {
+            solo.entry(hash).or_insert(bytes);
+        }
+        if solo.values().sum::<u64>() > self.budget {
+            return vec![tenant];
+        }
+        let layer = self.store.put_layer_refs(LayerKind::Base, chunks);
+        let id = self
+            .store
+            .compose_snapshot(&[layer], snapshot_bytes)
+            .unwrap();
+        self.lru.push_back(tenant);
+        self.resident.insert(tenant, id);
+        let mut evicted = Vec::new();
+        while self.store.unique_bytes() > self.budget {
+            let victim = self.lru.pop_front().unwrap();
+            let id = self.resident.remove(&victim).unwrap();
+            self.store.drop_snapshot(id).unwrap();
+            evicted.push(victim);
+        }
+        evicted
+    }
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
 }
 
 proptest! {
@@ -74,30 +158,65 @@ proptest! {
         store.debug_validate().unwrap();
     }
 
-    /// Random record/evict sequences conserve refcounts and byte
-    /// accounting, and the budget is never exceeded after an insert.
+    /// Random insert/touch/remove sequences give the layered registry
+    /// exactly the flat oracle's evictions, residency and byte counts,
+    /// conserve refcounts in both stores, and never exceed the budget.
+    /// Two fixed sizes make tenants share family layers; the random one
+    /// covers chunk counts and partial final chunks.
     #[test]
     fn registry_refcounts_conserved(
         budget in (20u64..200).prop_map(|mb| mb << 20),
+        dedup in any::<bool>(),
+        chunk_bytes in prop_oneof![Just(2u64 << 20), Just(8u64 << 20)],
         ops in proptest::collection::vec(
-            (0usize..12, 0u64..4, 1u64..64, any::<bool>()), 1..60),
+            (
+                0usize..12,
+                0u64..4,
+                prop_oneof![
+                    (1u64..64).prop_map(|mb| mb << 20),
+                    Just(24u64 << 20),
+                    Just((40u64 << 20) + 12_345),
+                ],
+                0u8..4,
+            ),
+            1..60,
+        ),
     ) {
-        let mut reg = StoreRegistry::new(budget, StoreParams::default());
-        for &(tenant, family, size_mb, remove) in &ops {
-            if remove {
-                reg.remove(tenant);
-            } else {
-                for evicted in reg.insert(tenant, family, size_mb << 20) {
-                    prop_assert!(!reg.contains(evicted));
+        let params = StoreParams { dedup, chunk_bytes };
+        let mut reg = StoreRegistry::new(budget, params);
+        let mut flat = FlatRegistry::new(budget, params);
+        for &(tenant, family, size, op) in &ops {
+            match op {
+                0 => {
+                    reg.touch(tenant);
+                    flat.touch(tenant);
                 }
-                prop_assert!(
-                    reg.total_bytes() <= budget,
-                    "unique {} over budget {}",
-                    reg.total_bytes(),
-                    budget
-                );
+                1 => {
+                    reg.remove(tenant);
+                    flat.remove(tenant);
+                }
+                _ => {
+                    let evicted = reg.insert(tenant, family, size);
+                    prop_assert_eq!(&evicted, &flat.insert(tenant, family, size));
+                    for &t in &evicted {
+                        prop_assert!(!reg.contains(t));
+                    }
+                    prop_assert!(
+                        reg.total_bytes() <= budget,
+                        "unique {} over budget {}",
+                        reg.total_bytes(),
+                        budget
+                    );
+                }
             }
+            for t in 0..12 {
+                prop_assert_eq!(reg.contains(t), flat.resident.contains_key(&t));
+            }
+            prop_assert_eq!(reg.len(), flat.resident.len());
+            prop_assert_eq!(reg.total_bytes(), flat.store.unique_bytes());
+            prop_assert_eq!(reg.logical_bytes(), flat.store.logical_bytes());
             reg.store().debug_validate().unwrap();
+            flat.store.debug_validate().unwrap();
             // Unique bytes can never exceed logical bytes.
             prop_assert!(reg.total_bytes() <= reg.logical_bytes());
         }
@@ -151,4 +270,31 @@ fn dedup_keeps_5x_more_snapshots_resident_under_zipf() {
         chunked.store_dedup_ratio()
     );
     assert!((whole.store_dedup_ratio() - 1.0).abs() < 1e-9);
+}
+
+/// A fleet whose snapshot registries evict: 400 tenants on two hosts
+/// outgrow an 8 GiB snapshot budget, so cold boots outnumber tenants and
+/// the registries' eviction path shapes the output, which is pinned
+/// whole. (The smoke fleet fits all six of its tenants in 24 GiB.)
+#[test]
+fn churn_fleet_outputs_are_pinned() {
+    let workloads = ["hello-world", "json", "compression", "image"];
+    let mut cfg = ClusterConfig::demo(2, RoutePolicy::SnapshotLocality, 42);
+    cfg.workload = WorkloadSpec::zipf(400, &workloads, 100.0, 0.8);
+    cfg.horizon = SimDuration::from_secs(60);
+    cfg.host.snapshot_budget_bytes = 8 << 30;
+    cfg.host.store.chunk_bytes = 8 << 20;
+    let m = run_cluster(&cfg);
+    let cold = m.mode_mix()[3];
+    assert!(
+        cold > cfg.workload.tenants.len() as u64,
+        "{cold} cold boots for {} tenants: nothing was evicted",
+        cfg.workload.tenants.len()
+    );
+    let json = m.to_json().to_string_pretty();
+    assert_eq!(
+        (cold, m.total_served(), fnv1a(json.as_bytes())),
+        (947, 1460, 1_023_320_502_225_381_022),
+        "churn fleet output drifted"
+    );
 }
