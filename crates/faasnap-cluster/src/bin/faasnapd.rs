@@ -12,7 +12,8 @@
 //!                            [--trace] [--trace-out <file>] [--metrics-out <file>]
 //!                            [--profile-out <file>] [--self-profile-out <file>]
 //! faasnapd burst <function> --parallelism <n> [--strategy ...] [--kind same|diff]
-//! faasnapd policy <function>
+//!                           [--device nvme|ebs]
+//! faasnapd policy <function> [--device nvme|ebs]
 //! faasnapd cluster [--hosts 8] [--seed 42] [--policy all|random|least-loaded|snapshot-locality]
 //!                  [--tenants 36] [--rate 40] [--skew 1.2] [--horizon 300]
 //!                  [--snapshot-budget <bytes>] [--dedup on|off] [--chunk-bytes <bytes>]
@@ -41,9 +42,9 @@
 //! aggregates. `--repeat <n>` reruns the identical fleet n times in
 //! one process — asserting byte-identical metrics — so benchmarks can
 //! divide wall time by n and factor out the process-startup floor.
-//! `cluster` exits with status 2 on a flag it does not read, and on
-//! `--hosts/--tenants/--rate/--skew/--horizon` next to `--smoke` or
-//! `--mega`, whose fleets fix those values.
+//! Every subcommand exits with status 2 on a flag it does not read, and
+//! `cluster` also on `--hosts/--tenants/--rate/--skew/--horizon` next to
+//! `--smoke` or `--mega`, whose fleets fix those values.
 //!
 //! The fleet runs a burn-rate SLO monitor (latency + cold-start error
 //! budgets, long/short windows) on every invocation; it is silent on
@@ -141,6 +142,26 @@ impl Args {
     }
 }
 
+/// Every flag `faasnapd invoke` reads.
+const INVOKE_FLAGS: &[&str] = &[
+    "strategy",
+    "device",
+    "ratio",
+    "input",
+    "fork",
+    "trace",
+    "trace-out",
+    "metrics-out",
+    "profile-out",
+    "self-profile-out",
+];
+
+/// Every flag `faasnapd burst` reads.
+const BURST_FLAGS: &[&str] = &["strategy", "parallelism", "kind", "device"];
+
+/// Every flag `faasnapd lint` reads.
+const LINT_FLAGS: &[&str] = &["root", "deep", "json"];
+
 /// Every flag `faasnapd cluster` reads.
 const CLUSTER_FLAGS: &[&str] = &[
     "hosts",
@@ -206,7 +227,7 @@ fn strategy_for(name: &str) -> RestoreStrategy {
 fn main() {
     let args = Args::parse();
     match args.positional.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args),
         Some("invoke") => cmd_invoke(&args),
         Some("burst") => cmd_burst(&args),
         Some("policy") => cmd_policy(&args),
@@ -219,6 +240,7 @@ fn main() {
 }
 
 fn cmd_lint(args: &Args) {
+    args.reject_unknown("lint", LINT_FLAGS);
     let root = match args.flags.get("root") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => std::env::current_dir()
@@ -256,7 +278,8 @@ fn cmd_lint(args: &Args) {
     }
 }
 
-fn cmd_list() {
+fn cmd_list(args: &Args) {
+    args.reject_unknown("list", &[]);
     println!(
         "{:<14} {:<34} {:>9} {:>9}",
         "function", "description", "WS A", "WS B"
@@ -301,6 +324,7 @@ fn input_for(args: &Args, f: &faas_workloads::Function) -> faas_workloads::Input
 }
 
 fn cmd_invoke(args: &Args) {
+    args.reject_unknown("invoke", INVOKE_FLAGS);
     let f = function_for(args);
     let strategy = strategy_for(&args.flag("strategy", "faasnap"));
     let profile = profile_for(&args.flag("device", "nvme"));
@@ -390,6 +414,7 @@ fn cmd_invoke(args: &Args) {
 }
 
 fn cmd_burst(args: &Args) {
+    args.reject_unknown("burst", BURST_FLAGS);
     let f = function_for(args);
     let strategy = strategy_for(&args.flag("strategy", "faasnap"));
     let parallelism: u32 = args
@@ -427,6 +452,7 @@ fn cmd_burst(args: &Args) {
 }
 
 fn cmd_policy(args: &Args) {
+    args.reject_unknown("policy", &["device"]);
     let f = function_for(args);
     let mut p = platform_for(&args.flag("device", "nvme"), 0x9011);
     let latencies =

@@ -3,16 +3,19 @@
 //! Reuses [`sim_core::engine::Engine`] — the same deterministic DES core
 //! that drives the single-host microsimulation — with a two-event
 //! alphabet: a request arrives at the router, or an invocation finishes
-//! on a host. Everything in between (placement, admission, warm-pool and
-//! snapshot-registry state transitions) happens synchronously inside the
-//! handlers, so a run is a pure function of its [`ClusterConfig`].
+//! on a host. Arrivals stream in from the sorted generated trace through
+//! [`Engine::run_merged`], so the event queue holds only in-service
+//! requests' completions, never the whole horizon. Everything in between
+//! (placement, admission, warm-pool and snapshot-registry state
+//! transitions) happens synchronously inside the handlers, so a run is a
+//! pure function of its [`ClusterConfig`].
 
 use faasnap_obs::{Metrics, SelfProfile, TraceContext, Tracer};
 use sim_core::engine::{Engine, Scheduler, World};
 use sim_core::rng::Prng;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::arrival::{Arrival, TenantId, WorkloadSpec};
+use crate::arrival::{TenantId, WorkloadSpec};
 use crate::hostsim::{Admission, HostConfig, HostSim, QueuedJob, ServeMode, ServiceTimes};
 use crate::metrics::FleetMetrics;
 use crate::router::RoutePolicy;
@@ -192,8 +195,8 @@ impl ClusterConfig {
 /// Fleet event alphabet.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// The `i`-th arrival reaches the router.
-    Arrive(usize),
+    /// A request for a tenant reaches the router.
+    Arrive(TenantId),
     /// An invocation finishes on `host`.
     Done {
         host: usize,
@@ -205,7 +208,6 @@ enum Ev {
 }
 
 struct FleetWorld<'a> {
-    arrivals: &'a [Arrival],
     tenant_times: &'a [ServiceTimes],
     /// Per-tenant snapshot family (tenants of the same base workload
     /// share base-image chunks in the hosts' snapshot stores).
@@ -284,8 +286,7 @@ impl World for FleetWorld<'_> {
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
-            Ev::Arrive(i) => {
-                let tenant = self.arrivals[i].tenant;
+            Ev::Arrive(tenant) => {
                 let ctx = self
                     .tracer
                     .begin("fleet/request", "fleet", now, TraceContext::NONE);
@@ -410,7 +411,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> FleetMetrics {
         .collect();
     let index = RouterIndex::enabled(cfg.hosts);
     let mut world = FleetWorld {
-        arrivals: &arrivals,
         tenant_times: &tenant_times,
         tenant_families: &tenant_families,
         policy: cfg.policy,
@@ -443,12 +443,12 @@ pub fn run_cluster(cfg: &ClusterConfig) -> FleetMetrics {
         slo: SloMonitor::new(cfg.slo),
     };
     let mut engine: Engine<Ev> = Engine::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        engine.scheduler().schedule(a.time, Ev::Arrive(i));
-    }
     {
         let _scope = cfg.selfprof.scope("fleet/engine_run");
-        engine.run(&mut world);
+        engine.run_merged(
+            &mut world,
+            arrivals.into_iter().map(|a| (a.time, Ev::Arrive(a.tenant))),
+        );
     }
     let estats = engine.stats();
     cfg.selfprof.harvest([

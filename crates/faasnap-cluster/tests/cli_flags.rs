@@ -1,7 +1,7 @@
-//! `faasnapd cluster` rejects the flags it would otherwise ignore:
-//! unknown names, so a typo cannot silently run the default fleet, and
-//! fleet-shape flags next to a preset that fixes the fleet. Both exit
-//! with status 2 before simulating anything.
+//! `faasnapd` rejects the flags it would otherwise ignore: unknown names
+//! on every subcommand, so a typo cannot silently run the defaults, and
+//! `cluster`'s fleet-shape flags next to a preset that fixes the fleet.
+//! Both exit with status 2 before simulating anything.
 
 use std::process::{Command, Output};
 
@@ -27,6 +27,27 @@ fn unknown_cluster_flags_exit_2() {
     assert_rejected(&["cluster", "--smoke", "--hostz", "4"], "--hostz");
     // Another subcommand's flag is unknown to `cluster` as well.
     assert_rejected(&["cluster", "--smoke", "--strategy", "reap"], "--strategy");
+}
+
+#[test]
+fn unknown_flags_exit_2_on_every_subcommand() {
+    // A typo must not run the default strategy.
+    assert_rejected(
+        &["invoke", "hello-world", "--strategi", "reap"],
+        "--strategi",
+    );
+    // A flag another subcommand reads is still unknown here.
+    assert_rejected(
+        &["burst", "hello-world", "--trace-out", "/dev/null"],
+        "--trace-out",
+    );
+    assert_rejected(
+        &["policy", "hello-world", "--strategy", "reap"],
+        "--strategy",
+    );
+    // The typo takes `--deep` as its value, yet must not lint anyway.
+    assert_rejected(&["lint", "--jsno", "--deep"], "--jsno");
+    assert_rejected(&["list", "--device", "ebs"], "--device");
 }
 
 #[test]

@@ -62,7 +62,8 @@ pub use walk::find_workspace_root;
 /// Ratchet cap on `unwrap()`/`expect(` call sites in non-test library
 /// code. The gate fails when the count exceeds this; when a cleanup PR
 /// lowers the real count, lower the cap with it so it never climbs back.
-pub const UNWRAP_BUDGET: u64 = 18;
+/// Lowered 18 → 16 when the JSON parser stopped decoding with `expect`.
+pub const UNWRAP_BUDGET: u64 = 16;
 
 /// Ratchet cap on non-test panic paths: `panic!`-family macros,
 /// `.expect(`, and slice-index sites in non-harness, non-`cfg(test)`
@@ -70,8 +71,10 @@ pub const UNWRAP_BUDGET: u64 = 18;
 /// ratchet it down as panic paths are converted to `Result`s. Raised
 /// 356 → 361 with the snapshot-branching layer (COW overlay range
 /// asserts and the fork orchestration paths); lowered to 358 when the
-/// `mincore` scan stopped indexing its `seen` bitmap per page.
-pub const PANIC_PATH_BUDGET: u64 = 358;
+/// `mincore` scan stopped indexing its `seen` bitmap per page, and to
+/// 351 when the JSON parser stopped slicing and the fleet stopped
+/// indexing an arrival table per event.
+pub const PANIC_PATH_BUDGET: u64 = 351;
 
 /// One source file handed to the deep linter. [`lint_sources_deep`]
 /// takes these directly so tests and fixtures can lint in-memory

@@ -24,6 +24,14 @@
 //! entries in `(time, seq)` order. Every golden artifact stays
 //! byte-identical across the swap.
 //!
+//! Beside the three tiers, [`Engine::run_merged`] accepts a time-sorted
+//! **external stream** — the fleet's pre-generated arrivals — and merges
+//! it into the run one event at a time, so the queue holds only
+//! in-flight work instead of the whole horizon. An external event wins
+//! every tie: it is delivered before any queued event at the same
+//! instant, exactly as if it had been scheduled up front with a lower
+//! sequence number than anything the run schedules.
+//!
 //! Components of a simulation are *passive* state machines; only the world
 //! type knows the event enum and wires components together:
 //!
@@ -143,11 +151,13 @@ impl<E> Slab<E> {
 /// this is a plain value type rather than a profiler handle).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events delivered to the world.
+    /// Events delivered to the world, external ones included.
     pub delivered: u64,
-    /// Events ever scheduled (delivered + still pending + dropped).
+    /// Events ever scheduled (delivered + still pending + dropped),
+    /// external ones included.
     pub scheduled: u64,
-    /// High-water mark of the pending-event queue.
+    /// High-water mark of the pending-event queue. External events of
+    /// [`Engine::run_merged`] never enter the queue, so they never count.
     pub peak_pending: u64,
 }
 
@@ -254,7 +264,8 @@ impl<E> Scheduler<E> {
         self.len
     }
 
-    /// Total number of events ever scheduled.
+    /// Total number of events ever scheduled, including the external
+    /// events [`Engine::run_merged`] delivered.
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled
     }
@@ -428,27 +439,63 @@ impl<E> Engine<E> {
     /// `deadline`. Events exactly at `deadline` are delivered.
     pub fn run_until<W: World<Event = E>>(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
         while let Some((time, event)) = self.scheduler.pop_at_most(deadline) {
-            assert!(
-                time >= self.now,
-                "event scheduled in the past: {time} < {}",
-                self.now
-            );
-            self.now = time;
-            self.delivered += 1;
-            world.handle(time, event, &mut self.scheduler);
+            self.deliver(world, time, event);
         }
         self.now
+    }
+
+    /// Runs a time-sorted `external` event stream merged with the queue,
+    /// then runs the queue dry. Returns the final clock value.
+    ///
+    /// Before each external event at `t`, every queued event strictly
+    /// before `t` is delivered; queued events at `t` wait, so the
+    /// external event wins the tie. The delivery order is therefore
+    /// exactly that of scheduling the whole stream up front and calling
+    /// [`Engine::run`], but the queue never holds the stream: external
+    /// events count in `delivered` and `scheduled`, never in `pending`
+    /// or `peak_pending`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream goes back in time, or, like [`Engine::run`],
+    /// if an event is scheduled in the past.
+    pub fn run_merged<W, I>(&mut self, world: &mut W, external: I) -> SimTime
+    where
+        W: World<Event = E>,
+        I: IntoIterator<Item = (SimTime, E)>,
+    {
+        for (at, event) in external {
+            if let Some(before) = at.as_nanos().checked_sub(1) {
+                self.run_until(world, SimTime::from_nanos(before));
+            }
+            assert!(
+                at >= self.now,
+                "external event stream went back in time: {at} < {}",
+                self.now
+            );
+            self.scheduler.scheduled += 1;
+            self.deliver(world, at, event);
+        }
+        self.run(world)
     }
 
     /// Delivers exactly one event if any is pending. Returns the delivered
     /// event time, or `None` if the queue was empty.
     pub fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Option<SimTime> {
         let (time, event) = self.scheduler.pop()?;
-        assert!(time >= self.now, "event scheduled in the past");
+        self.deliver(world, time, event);
+        Some(time)
+    }
+
+    fn deliver<W: World<Event = E>>(&mut self, world: &mut W, time: SimTime, event: E) {
+        assert!(
+            time >= self.now,
+            "event scheduled in the past: {time} < {}",
+            self.now
+        );
         self.now = time;
         self.delivered += 1;
         world.handle(time, event, &mut self.scheduler);
-        Some(time)
     }
 }
 
@@ -566,6 +613,39 @@ mod tests {
         assert_eq!(stats.scheduled, 5);
         assert_eq!(stats.peak_pending, 3);
         assert_eq!(e.scheduler().peak_pending(), 3);
+    }
+
+    #[test]
+    fn run_merged_external_events_win_ties_and_never_queue() {
+        let mut w = Recorder::default();
+        let mut e = Engine::new();
+        // A(1) at 0 chains A(0) at 5, tying with the external B at 5.
+        e.scheduler().schedule(SimTime::ZERO, Ev::A(1));
+        let external = [(0u64, Ev::B), (5, Ev::B), (12, Ev::A(0))];
+        let end = e.run_merged(&mut w, external.map(|(t, ev)| (SimTime::from_nanos(t), ev)));
+        assert_eq!(
+            w.log,
+            vec![
+                (0, Ev::B),
+                (0, Ev::A(1)),
+                (5, Ev::B),
+                (5, Ev::A(0)),
+                (12, Ev::A(0)),
+            ]
+        );
+        assert_eq!(end.as_nanos(), 12);
+        let stats = e.stats();
+        assert_eq!((stats.delivered, stats.scheduled), (5, 5));
+        assert_eq!(stats.peak_pending, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "external event stream went back in time")]
+    fn run_merged_rejects_a_stream_going_back_in_time() {
+        let mut w = Recorder::default();
+        let mut e = Engine::new();
+        let external = [(10u64, Ev::B), (9, Ev::B)];
+        e.run_merged(&mut w, external.map(|(t, ev)| (SimTime::from_nanos(t), ev)));
     }
 
     #[test]

@@ -273,24 +273,36 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the limit keeps hostile input (a million `[`)
+/// from overflowing the stack; configs and traces nest a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
+/// Linear in the input length; nesting deeper than 128 arrays and
+/// objects is an error, not a stack overflow.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread character; always on a char
+    /// boundary, since it only ever steps over whole scalars.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -301,8 +313,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The unread input.
+    fn rest(&self) -> &'a str {
+        self.src.get(self.pos..).unwrap_or_default()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -321,7 +338,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.rest().starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -335,12 +352,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -394,57 +425,56 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal, decoding one scalar at a time.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            let mut chars = self.rest().chars();
+            match chars.next() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+                Some('"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some('\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our configs.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                        }
+                    let esc = chars
+                        .next()
+                        .ok_or_else(|| self.err("unterminated escape"))?;
+                    self.pos += esc.len_utf8();
+                    out.push(match esc {
+                        '"' => '"',
+                        '\\' => '\\',
+                        '/' => '/',
+                        'n' => '\n',
+                        'r' => '\r',
+                        't' => '\t',
+                        'b' => '\u{8}',
+                        'f' => '\u{c}',
+                        'u' => self.unicode_escape()?,
                         _ => return Err(self.err("unknown escape")),
-                    }
+                    });
                 }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                Some(c) => {
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// Decodes the four hex digits of a `\u` escape.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let hex = self
+            .rest()
+            .get(..4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        // Surrogate pairs are not needed by our configs.
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -473,8 +503,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        // Every byte stepped over is ASCII, so the span is a valid slice.
+        let text = self.src.get(start..self.pos).unwrap_or_default();
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -562,6 +592,36 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("{\"a\":1} x").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // MAX_DEPTH - 2 arrays around an object holding an array.
+        let at_limit =
+            format!("{}{}", "[".repeat(MAX_DEPTH - 2), "{\"a\":[]}") + &"]".repeat(MAX_DEPTH - 2);
+        assert!(parse(&at_limit).is_ok());
+        assert!(parse(&format!("[{at_limit}]")).is_err());
+        assert!(parse(&format!("{{\"k\":{at_limit}}}")).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // A megabyte string of mixed-width characters: parsing must stay
+        // linear in the document size to finish quickly.
+        let body = "aé✓😀".repeat(100_000);
+        let v = parse(&Value::Str(body.clone()).to_string_compact()).unwrap();
+        assert_eq!(v.as_str(), Some(body.as_str()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9\u0041""#).unwrap().as_str(), Some("éA"));
+        for bad in [r#""\u+0FF""#, r#""\u12""#, r#""\u12é""#, r#""\uD800""#] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -86,6 +86,21 @@ fn horizon_time() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..200, 0u64..200_000_000]
 }
 
+/// Gap between consecutive external instants: a repeat, a same-bucket
+/// step, or a jump that may land past the wheel horizon (~67 ms).
+fn stream_gap() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..200, 0u64..200_000_000]
+}
+
+/// Stands for "exactly the next external instant" in [`child_delay`].
+const NEXT_INSTANT: u64 = u64::MAX;
+
+/// A child's delay: zero, the next external instant, or a delay inside
+/// or past the wheel horizon.
+fn child_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(NEXT_INSTANT), horizon_time()]
+}
+
 proptest! {
     /// Differential: the slab + time-wheel engine delivers the exact
     /// `(time, event)` sequence of the naive sorted-vector oracle, for
@@ -108,6 +123,65 @@ proptest! {
         let expect = reference_run(&initial, &spawns);
         prop_assert_eq!(&w.seen, &expect);
         prop_assert_eq!(e.delivered(), expect.len() as u64);
+    }
+
+    /// Differential: merging a sorted external stream with
+    /// `run_merged` delivers exactly what scheduling the whole stream
+    /// up front and calling `run` delivers. Streams repeat instants,
+    /// may start at t = 0 and jump gaps inside and past the wheel
+    /// horizon; children land at delay 0, exactly on the next external
+    /// instant (the tie the external event must win), and inside and
+    /// past the horizon. The merged queue never holds the stream, so
+    /// its peak is no higher.
+    #[test]
+    fn run_merged_matches_up_front_schedule(
+        external in proptest::collection::vec(
+            (stream_gap(), proptest::collection::vec(child_delay(), 0..3)), 1..40),
+    ) {
+        let mut times = Vec::with_capacity(external.len());
+        let mut t = 0u64;
+        for (gap, _) in &external {
+            t += gap;
+            times.push(t);
+        }
+        // Resolve "the next external instant" into a concrete delay.
+        let spawns: Vec<Vec<u64>> = external
+            .iter()
+            .enumerate()
+            .map(|(i, (_, delays))| {
+                delays
+                    .iter()
+                    .map(|&d| match (d, times.get(i + 1)) {
+                        (NEXT_INSTANT, Some(&next)) => next - times[i],
+                        (NEXT_INSTANT, None) => 0,
+                        (d, _) => d,
+                    })
+                    .collect()
+            })
+            .collect();
+        let spawner = || Spawner { spawns: spawns.clone(), next_child: 0, seen: Vec::new() };
+
+        let mut upfront_world = spawner();
+        let mut upfront: Engine<u32> = Engine::new();
+        for (i, &t) in times.iter().enumerate() {
+            upfront.scheduler().schedule(SimTime::from_nanos(t), i as u32);
+        }
+        let upfront_end = upfront.run(&mut upfront_world);
+
+        let mut merged_world = spawner();
+        let mut merged: Engine<u32> = Engine::new();
+        let merged_end = merged.run_merged(
+            &mut merged_world,
+            times.iter().enumerate().map(|(i, &t)| (SimTime::from_nanos(t), i as u32)),
+        );
+
+        prop_assert_eq!(&merged_world.seen, &upfront_world.seen);
+        prop_assert_eq!(merged_end, upfront_end);
+        let (m, u) = (merged.stats(), upfront.stats());
+        prop_assert_eq!(m.delivered, u.delivered);
+        prop_assert_eq!(m.scheduled, u.scheduled);
+        prop_assert!(m.peak_pending <= u.peak_pending);
+        prop_assert_eq!(merged.scheduler().pending(), 0);
     }
 
     /// Events are always delivered in non-decreasing time order, with
