@@ -3,7 +3,7 @@
 //!
 //! [`RouterIndex`] is a shared handle (cheaply cloneable, disabled by
 //! default — the same pattern as [`faasnap_obs::Metrics`]) that every
-//! [`HostSim`](crate::hostsim::HostSim) notifies whenever its load,
+//! [`HostSim`] notifies whenever its load,
 //! admission headroom, warm pool, snapshot registry, or loading-set
 //! cache changes. With the index attached, [`RouterIndex::pick`]
 //! answers every [`RoutePolicy`] query from precomputed structures:

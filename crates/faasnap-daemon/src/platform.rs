@@ -10,7 +10,7 @@
 
 use faas_workloads::{Function, Input};
 use faasnap::error::RestoreError;
-use faasnap::runtime::{run_invocations, ForkOutcome, Host, InvocationOutcome, InvocationSpec};
+use faasnap::runtime::{ForkOutcome, Host, InvocationOutcome, InvocationSpec};
 use faasnap::snapstore::FamilyStore;
 use faasnap::strategy::RestoreStrategy;
 use faasnap_obs::{Metrics, SelfProfile, TraceContext, Tracer};
@@ -251,23 +251,7 @@ impl Platform {
         input: &Input,
         strategy: RestoreStrategy,
     ) -> Result<InvocationOutcome, InvokeError> {
-        let spec = self
-            .build_spec(name, label, input, strategy)
-            .map_err(InvokeError::NotFound)?;
-        if self.store_backed_reads {
-            if let Some(store) = self.snapstore.as_ref() {
-                // Back the logical memory file with the store's chunk
-                // layout so restore reads hit the deduplicated extents.
-                if let (Some(artifacts), Ok(layout)) = (
-                    self.registry.artifacts(name, label),
-                    store.layout(&format!("{name}.{label}")),
-                ) {
-                    self.host
-                        .map_chunked_file(artifacts.snapshot.mem_file(), layout);
-                }
-            }
-        }
-        self.host.drop_caches();
+        let spec = self.prepare_restore(name, label, input, strategy)?;
         let tracer = self.host.tracer.clone();
         let ctx = tracer.begin(
             "platform/invoke",
@@ -279,10 +263,11 @@ impl Platform {
         tracer.tag(ctx, "label", label);
         tracer.tag(ctx, "strategy", strategy.label());
         tracer.push_parent(ctx);
-        let result = faasnap::runtime::try_run_invocation(&mut self.host, spec);
+        let result = faasnap::runtime::run(&mut self.host, vec![spec]);
         tracer.pop_parent();
         match result {
-            Ok(outcome) => {
+            Ok(mut outcomes) => {
+                let outcome = outcomes.remove(0);
                 tracer.end(ctx, SimTime::ZERO + outcome.report.total_time());
                 Ok(outcome)
             }
@@ -307,21 +292,7 @@ impl Platform {
         n: usize,
     ) -> Result<ForkOutcome, InvokeError> {
         assert!(n >= 1, "a fork needs at least one sibling");
-        let spec = self
-            .build_spec(name, label, input, strategy)
-            .map_err(InvokeError::NotFound)?;
-        if self.store_backed_reads {
-            if let Some(store) = self.snapstore.as_ref() {
-                if let (Some(artifacts), Ok(layout)) = (
-                    self.registry.artifacts(name, label),
-                    store.layout(&format!("{name}.{label}")),
-                ) {
-                    self.host
-                        .map_chunked_file(artifacts.snapshot.mem_file(), layout);
-                }
-            }
-        }
-        self.host.drop_caches();
+        let spec = self.prepare_restore(name, label, input, strategy)?;
         let tracer = self.host.tracer.clone();
         // A 1-way fork is an ordinary invocation and must trace as one.
         let span = if n > 1 {
@@ -337,7 +308,7 @@ impl Platform {
             tracer.tag(ctx, "siblings", n as u64);
         }
         tracer.push_parent(ctx);
-        let result = faasnap::runtime::try_run_fork(&mut self.host, spec, n);
+        let result = faasnap::runtime::fork(&mut self.host, spec, n);
         tracer.pop_parent();
         match result {
             Ok(fork) => {
@@ -390,6 +361,35 @@ impl Platform {
         Ok(artifacts.spec(strategy, trace))
     }
 
+    /// Builds the spec of a test-phase restore, backs its memory file
+    /// with the snapshot store's chunk layout when store-backed reads are
+    /// on (so restore reads hit the deduplicated extents), and drops the
+    /// page cache (§6.1 hygiene).
+    fn prepare_restore(
+        &mut self,
+        name: &str,
+        label: &str,
+        input: &Input,
+        strategy: RestoreStrategy,
+    ) -> Result<InvocationSpec, InvokeError> {
+        let spec = self
+            .build_spec(name, label, input, strategy)
+            .map_err(InvokeError::NotFound)?;
+        if self.store_backed_reads {
+            if let Some(store) = self.snapstore.as_ref() {
+                if let (Some(artifacts), Ok(layout)) = (
+                    self.registry.artifacts(name, label),
+                    store.layout(&format!("{name}.{label}")),
+                ) {
+                    self.host
+                        .map_chunked_file(artifacts.snapshot.mem_file(), layout);
+                }
+            }
+        }
+        self.host.drop_caches();
+        Ok(spec)
+    }
+
     /// Runs a burst of `parallelism` simultaneous invocations (§6.6). For
     /// [`BurstKind::SameSnapshot`] all VMs share the artifacts recorded
     /// under `label`; for [`BurstKind::DifferentSnapshots`] each VM `i`
@@ -434,7 +434,7 @@ impl Platform {
             }
         }
         self.host.drop_caches();
-        Ok(run_invocations(&mut self.host, specs))
+        faasnap::runtime::run(&mut self.host, specs).map_err(|e| e.to_string())
     }
 }
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use faas_workloads::{Function, Input};
-use faasnap::artifacts::{try_record_phase_with, RecordOptions, SnapshotArtifacts};
+use faasnap::artifacts::{record_phase, RecordOptions, SnapshotArtifacts};
 use faasnap::runtime::Host;
 use sim_storage::file::DeviceId;
 
@@ -72,7 +72,7 @@ impl FunctionRegistry {
             .ok_or_else(|| format!("unknown function {name}"))?;
         let trace = entry.function.trace(record_input);
         let image = entry.function.boot_image();
-        let artifacts = try_record_phase_with(
+        let artifacts = record_phase(
             host,
             &format!("{name}.{label}"),
             image,

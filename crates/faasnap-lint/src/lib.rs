@@ -71,10 +71,12 @@ pub const UNWRAP_BUDGET: u64 = 16;
 /// ratchet it down as panic paths are converted to `Result`s. Raised
 /// 356 → 361 with the snapshot-branching layer (COW overlay range
 /// asserts and the fork orchestration paths); lowered to 358 when the
-/// `mincore` scan stopped indexing its `seen` bitmap per page, and to
-/// 351 when the JSON parser stopped slicing and the fleet stopped
-/// indexing an arrival table per event.
-pub const PANIC_PATH_BUDGET: u64 = 351;
+/// `mincore` scan stopped indexing its `seen` bitmap per page, to 351
+/// when the JSON parser stopped slicing and the fleet stopped indexing
+/// an arrival table per event, and to 343 when the restore runtime lost
+/// its panicking entry-point wrappers and its per-site copies of the
+/// read-completion and retry code.
+pub const PANIC_PATH_BUDGET: u64 = 343;
 
 /// One source file handed to the deep linter. [`lint_sources_deep`]
 /// takes these directly so tests and fixtures can lint in-memory

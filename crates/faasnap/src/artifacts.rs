@@ -21,7 +21,7 @@ use sim_vm::trace::Trace;
 use crate::error::RestoreError;
 use crate::loadingset::{LoadingSet, MERGE_GAP};
 use crate::report::InvocationReport;
-use crate::runtime::{try_run_invocation, Host, InvocationSpec};
+use crate::runtime::{self, Host, InvocationSpec};
 use crate::strategy::RestoreStrategy;
 use crate::wset::{ReapWorkingSet, WorkingSet, GROUP_SIZE};
 
@@ -90,45 +90,13 @@ impl SnapshotArtifacts {
 /// Runs the record phase: restores the clean snapshot built from
 /// `boot_image`, executes `record_trace` with page sanitization and
 /// working-set recording enabled, and materializes every artifact on
-/// `device`.
+/// `device`. [`RecordOptions::default`] holds the paper's choices; the
+/// group-size and merge-gap sensitivity experiments vary them.
+///
+/// A storage fault that exhausts its retry budget mid-record surfaces
+/// as a typed error, and *no* artifacts are produced: a crashed record
+/// phase leaves artifacts cleanly absent, never half-written.
 pub fn record_phase(
-    host: &mut Host,
-    name: &str,
-    boot_image: sim_vm::guest_memory::GuestMemory,
-    record_trace: Trace,
-    device: DeviceId,
-) -> SnapshotArtifacts {
-    record_phase_with(
-        host,
-        name,
-        boot_image,
-        record_trace,
-        device,
-        RecordOptions::default(),
-    )
-}
-
-/// [`record_phase`] with explicit [`RecordOptions`] (for the group-size
-/// and merge-gap sensitivity experiments).
-pub fn record_phase_with(
-    host: &mut Host,
-    name: &str,
-    boot_image: sim_vm::guest_memory::GuestMemory,
-    record_trace: Trace,
-    device: DeviceId,
-    options: RecordOptions,
-) -> SnapshotArtifacts {
-    match try_record_phase_with(host, name, boot_image, record_trace, device, options) {
-        Ok(artifacts) => artifacts,
-        Err(e) => panic!("record phase failed: {e}"),
-    }
-}
-
-/// Fallible record phase: a storage fault that exhausts its retry budget
-/// mid-record surfaces here as a typed error, and *no* artifacts are
-/// produced — a crashed record phase leaves artifacts cleanly absent,
-/// never half-written.
-pub fn try_record_phase_with(
     host: &mut Host,
     name: &str,
     boot_image: sim_vm::guest_memory::GuestMemory,
@@ -151,7 +119,7 @@ pub fn try_record_phase_with(
     spec.record = true;
     spec.record_group_size = options.group_size;
     spec.record_scan_threshold = options.scan_threshold;
-    let outcome = try_run_invocation(host, spec)?;
+    let outcome = runtime::run(host, vec![spec])?.remove(0);
     let ws = outcome.ws.ok_or(RestoreError::RecordIncomplete {
         what: "working set",
     })?;
@@ -240,7 +208,7 @@ mod tests {
         let mut h = host();
         let (img, trace) = tiny_setup();
         let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace, dev);
+        let a = record_phase(&mut h, "tiny", img, trace, dev, RecordOptions::default()).unwrap();
 
         // Working set covers the touched file pages (plus readahead).
         let ws_set = a.ws.page_set();
@@ -285,7 +253,7 @@ mod tests {
         let mut h = host();
         let (img, trace) = tiny_setup();
         let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace, dev);
+        let a = record_phase(&mut h, "tiny", img, trace, dev, RecordOptions::default()).unwrap();
         let r = &a.record_report;
         assert!(r.total_faults() > 0);
         assert!(r.major_faults > 0, "record phase reads from disk");
@@ -297,7 +265,15 @@ mod tests {
         let mut h = host();
         let (img, trace) = tiny_setup();
         let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace.clone(), dev);
+        let a = record_phase(
+            &mut h,
+            "tiny",
+            img,
+            trace.clone(),
+            dev,
+            RecordOptions::default(),
+        )
+        .unwrap();
         let spec = a.spec(RestoreStrategy::faasnap(), trace);
         assert!(spec.ls.is_some());
         assert!(spec.ws.is_some());
@@ -313,7 +289,8 @@ mod tests {
             let mut h = host();
             let (img, trace) = tiny_setup();
             let dev = h.primary_device();
-            let a = record_phase(&mut h, "tiny", img, trace, dev);
+            let a =
+                record_phase(&mut h, "tiny", img, trace, dev, RecordOptions::default()).unwrap();
             (
                 a.ws.pages().to_vec(),
                 a.reap_ws.pages().to_vec(),

@@ -33,6 +33,18 @@ impl RetrySite {
             RetrySite::ReapFetch => "reap_fetch",
         }
     }
+
+    /// Reads (the first plus its retries) a consumer at this site makes
+    /// before giving up. A guest fault and a REAP miss then fail the
+    /// invocation closed, since the guest must never see a partial page;
+    /// the loader and REAP's working-set fetch are optimizations and
+    /// degrade instead.
+    pub fn max_attempts(self) -> u32 {
+        match self {
+            RetrySite::GuestFault => 4,
+            RetrySite::Loader | RetrySite::ReapMiss | RetrySite::ReapFetch => 3,
+        }
+    }
 }
 
 impl fmt::Display for RetrySite {

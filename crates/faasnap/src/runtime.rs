@@ -7,6 +7,21 @@
 //! plans, disk I/O, loader prefetches, REAP handler services, and — in
 //! the record phase — `mincore` working-set scans.
 //!
+//! Two fallible entry points drive it: [`run`] restores a batch of
+//! independent VMs (one invocation, or a §6.6 burst) and [`fork`]
+//! branches `n` copy-on-write siblings from one snapshot. A read that
+//! exhausts its retry budget fails the batch closed with a
+//! [`RestoreError`]; callers that cannot fail panic at their own call
+//! site.
+//!
+//! Every disk read issued while the engine runs — a guest fault's
+//! demand read, async readahead, a loader chunk, a REAP miss — is
+//! submitted by one helper and completes as one `ReadDone` event that
+//! names its consumer. One step puts the served pages in the page
+//! cache, and every site, REAP's blocking working-set fetch at setup
+//! included, retries under the per-site budget of
+//! [`RetrySite::max_attempts`].
+//!
 //! Time lines up with the paper's measurement boundaries:
 //!
 //! - `t = 0`: the invocation request reaches the daemon. The FaaSnap
@@ -48,7 +63,7 @@ use crate::loadingset::LoadingSet;
 use crate::mapper;
 use crate::reap::ReapHandler;
 use crate::record::{MincoreRecorder, UffdTracker};
-use crate::report::{InvocationReport, RetryRecord};
+use crate::report::{FaultReport, InvocationReport, RetryRecord};
 use crate::strategy::{FaasnapConfig, RestoreStrategy};
 use crate::wset::{ReapWorkingSet, WorkingSet};
 
@@ -58,19 +73,57 @@ const MINCORE_POLL_INTERVAL: SimDuration = SimDuration::from_millis(2);
 
 /// Base of the deterministic exponential backoff between read retries.
 const RETRY_BACKOFF_BASE_US: u64 = 200;
-/// Retry budget for loader prefetch reads. Exhaustion degrades (the
-/// loader is an optimization; prefetch failure is never fatal).
-const MAX_LOADER_RETRIES: u32 = 3;
-/// Retry budget for kernel demand reads on guest faults. Exhaustion
-/// fails the invocation closed: the guest never sees a partial page.
-const MAX_FAULT_RETRIES: u32 = 4;
-/// Retry budget for REAP reads (blocking working-set fetch and the
-/// user-level miss handler).
-const MAX_REAP_RETRIES: u32 = 3;
 
-/// Deterministic (sim-time) backoff before retry number `attempt + 1`.
-fn backoff(attempt: u32) -> SimDuration {
-    SimDuration::from_micros(RETRY_BACKOFF_BASE_US << attempt.min(10))
+/// Spends failed attempt `attempt` (0 is the first read) of the read of
+/// `file` at `page` against `site`'s [`RetrySite::max_attempts`]: the
+/// next attempt, or the typed error once the budget is spent.
+fn next_attempt(
+    site: RetrySite,
+    file: FileId,
+    page: u64,
+    attempt: u32,
+) -> Result<u32, RestoreError> {
+    let next = attempt + 1;
+    if next >= site.max_attempts() {
+        return Err(RestoreError::ReadRetriesExhausted {
+            site,
+            file,
+            page,
+            attempts: next,
+        });
+    }
+    Ok(next)
+}
+
+/// The retry policy of every read site. Past `site`'s budget it returns
+/// the typed error (the loader and REAP's fetch degrade instead of
+/// failing); otherwise it books retry `attempt + 1` in the metrics and
+/// `faults` and returns it with its instant, one deterministic (sim-time)
+/// backoff after `ready`.
+fn retry(
+    metrics: &Metrics,
+    faults: &mut FaultReport,
+    site: RetrySite,
+    file: FileId,
+    page: u64,
+    attempt: u32,
+    ready: SimTime,
+) -> Result<(u32, SimTime), RestoreError> {
+    let next = next_attempt(site, file, page, attempt)?;
+    let wait = SimDuration::from_micros(RETRY_BACKOFF_BASE_US << attempt.min(10));
+    let at = ready + wait;
+    metrics.counter_inc("faasnap_retry_total", &[("site", site.label())]);
+    faults.record_retry(
+        RetryRecord {
+            site,
+            file,
+            page,
+            attempt: next,
+            at_ns: at.as_nanos(),
+        },
+        wait,
+    );
+    Ok((next, at))
 }
 
 /// How a checked disk read ended, from its consumer's point of view.
@@ -233,16 +286,6 @@ impl Host {
         self.pages.share_mut().map_file(file, map);
     }
 
-    /// Removes a file's chunk-store backing (reads go direct again).
-    pub fn unmap_chunked_file(&mut self, file: FileId) -> Option<ChunkedFile> {
-        self.pages.share_mut().unmap_file(file)
-    }
-
-    /// The chunk-store backing of a file, if any.
-    pub fn chunked_file(&self, file: FileId) -> Option<&ChunkedFile> {
-        self.pages.share().chunked(file)
-    }
-
     /// Submits a read, resolving store-backed files through their chunk
     /// maps (per-chunk physical requests, merged completion: latest chunk
     /// wins, first injected fault wins). Files without a map — every file
@@ -365,6 +408,41 @@ pub struct InvocationOutcome {
 // Events and per-VM state
 // ---------------------------------------------------------------------
 
+/// One guest memory access, carried through fault handling.
+#[derive(Clone, Copy, Debug)]
+struct Access {
+    page: PageNum,
+    write: bool,
+    /// Content installed on a write.
+    token: u64,
+}
+
+/// The consumer of a checked read: what its completion does.
+#[derive(Clone, Copy, Debug)]
+enum Reader {
+    /// The kernel's demand read for a blocked guest access, which
+    /// completes `overhead` after the data arrives. `attempt` counts the
+    /// access's failed reads so far.
+    Fault {
+        access: Access,
+        started: SimTime,
+        overhead: SimDuration,
+        attempt: u32,
+    },
+    /// Async readahead, which no vCPU waits on. `guest_start` is the
+    /// guest page backing the read's first file page.
+    Readahead { guest_start: PageNum },
+    /// The loader's read of plan chunk `idx`: the whole chunk on the
+    /// first attempt, its uncovered suffix on retries.
+    Loader { idx: usize, attempt: u32 },
+    /// The REAP handler's read for a blocked out-of-set access.
+    ReapMiss {
+        access: Access,
+        started: SimTime,
+        attempt: u32,
+    },
+}
+
 #[derive(Debug)]
 enum Ev {
     /// Setup finished: the vCPU starts executing.
@@ -375,46 +453,21 @@ enum Ev {
     StartLoader { vm: usize },
     /// A compute segment finished.
     ComputeDone { vm: usize },
-    /// Resume the vCPU after a fixed-cost fault.
+    /// A fixed-cost fault, or the REAP handler's service of a fault (its
+    /// read included), finished: apply the access and resume the vCPU.
     FaultDone {
         vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
+        access: Access,
         kind: FaultKind,
         started: SimTime,
-        ctx: TraceContext,
-    },
-    /// A guest-fault disk read finished (perhaps unsuccessfully).
-    FaultIoDone {
-        vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
-        io: IoRequest,
-        started: SimTime,
-        overhead: SimDuration,
-        attempt: u32,
-        fate: IoFate,
         ctx: TraceContext,
     },
     /// Re-enter fault handling for a blocked access whose read failed,
     /// after deterministic backoff.
     FaultRetry {
         vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
+        access: Access,
         attempt: u32,
-    },
-    /// An async readahead read finished (no vCPU is waiting).
-    /// `guest_start` is the guest page backing `io.page`.
-    AsyncReadDone {
-        vm: usize,
-        io: IoRequest,
-        guest_start: PageNum,
-        fate: IoFate,
-        ctx: TraceContext,
     },
     /// A page-lock wait on an in-flight read finished. `attempt` is the
     /// waiter's own access attempt: a wake from a *cancelled* (failed)
@@ -423,47 +476,22 @@ enum Ev {
     /// livelocking the sibling group.
     InflightDone {
         vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
+        access: Access,
         started: SimTime,
         attempt: u32,
         ctx: TraceContext,
     },
-    /// A loader read finished (perhaps unsuccessfully). `io` is the
-    /// request actually issued: the whole chunk `idx` on the first
-    /// attempt, its uncovered suffix on retries.
-    LoaderChunkDone {
+    /// A checked read issued for `reader` finished (perhaps
+    /// unsuccessfully).
+    ReadDone {
         vm: usize,
-        idx: usize,
         io: IoRequest,
-        attempt: u32,
         fate: IoFate,
         ctx: TraceContext,
+        reader: Reader,
     },
     /// Re-issue the uncovered part of loader chunk `idx` after backoff.
     LoaderRetry { vm: usize, idx: usize, attempt: u32 },
-    /// A REAP handler disk read finished (perhaps unsuccessfully).
-    ReapIoDone {
-        vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
-        io: IoRequest,
-        started: SimTime,
-        attempt: u32,
-        fate: IoFate,
-        ctx: TraceContext,
-    },
-    /// The guest resumes after user-level fault handling.
-    ReapResume {
-        vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
-        started: SimTime,
-        ctx: TraceContext,
-    },
     /// Record-phase RSS poll tick.
     MincorePoll { vm: usize },
 }
@@ -511,7 +539,7 @@ struct SimWorld<'h> {
 /// surfacing restore failures (retry exhaustion under storage faults) as
 /// typed errors. The first failed VM's error is returned; a failed batch
 /// produces no outcomes (fail closed — no partially-restored results).
-pub fn try_run_invocations(
+pub fn run(
     host: &mut Host,
     specs: Vec<InvocationSpec>,
 ) -> Result<Vec<InvocationOutcome>, RestoreError> {
@@ -537,14 +565,9 @@ pub struct ForkOutcome {
 /// shares the frozen base image read-only (dirty pages copy on write
 /// into a private anonymous overlay) and the snapshot-keyed page state,
 /// so the working set is read from disk once for the whole batch instead
-/// of once per sibling. `n = 1` is byte-identical to
-/// [`try_run_invocation`]: same seed draws, same event order, same
-/// trace, same metrics.
-pub fn try_run_fork(
-    host: &mut Host,
-    spec: InvocationSpec,
-    n: usize,
-) -> Result<ForkOutcome, RestoreError> {
+/// of once per sibling. `n = 1` is byte-identical to [`run`] of the one
+/// spec: same seed draws, same event order, same trace, same metrics.
+pub fn fork(host: &mut Host, spec: InvocationSpec, n: usize) -> Result<ForkOutcome, RestoreError> {
     assert!(n >= 1, "a fork needs at least one sibling");
     let read_before: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
     let base = Rc::new(spec.memory.clone());
@@ -587,14 +610,6 @@ pub fn try_run_fork(
         shared_pages,
         private_pages,
     })
-}
-
-/// Branches `n` siblings, panicking on restore failure.
-pub fn run_fork(host: &mut Host, spec: InvocationSpec, n: usize) -> ForkOutcome {
-    match try_run_fork(host, spec, n) {
-        Ok(f) => f,
-        Err(e) => panic!("fork failed: {e}"),
-    }
 }
 
 /// Shared engine loop behind both entry points. With `fork_base`, every
@@ -679,41 +694,6 @@ fn run_specs(
     Ok((outcomes, private_pages))
 }
 
-/// Runs a batch of invocations, panicking on restore failure (healthy
-/// paths never fail; only injected/real storage faults can).
-pub fn run_invocations(host: &mut Host, specs: Vec<InvocationSpec>) -> Vec<InvocationOutcome> {
-    match try_run_invocations(host, specs) {
-        Ok(outs) => outs,
-        Err(e) => panic!("invocation failed: {e}"),
-    }
-}
-
-/// Runs a single invocation, surfacing restore failures.
-pub fn try_run_invocation(
-    host: &mut Host,
-    spec: InvocationSpec,
-) -> Result<InvocationOutcome, RestoreError> {
-    Ok(try_run_invocations(host, vec![spec])?.remove(0))
-}
-
-/// Runs a single invocation.
-pub fn run_invocation(host: &mut Host, spec: InvocationSpec) -> InvocationOutcome {
-    run_invocations(host, vec![spec]).remove(0)
-}
-
-/// Convenience wrapper used by experiments: a complete invocation
-/// simulator bound to a host.
-pub struct InvocationSim;
-
-impl InvocationSim {
-    /// Runs `spec` on `host` after dropping caches (the evaluation's
-    /// between-test hygiene). `Cached` re-warms the cache afterwards.
-    pub fn run_clean(host: &mut Host, spec: InvocationSpec) -> InvocationOutcome {
-        host.drop_caches();
-        run_invocation(host, spec)
-    }
-}
-
 // ---------------------------------------------------------------------
 // VM preparation (strategy-specific setup)
 // ---------------------------------------------------------------------
@@ -776,29 +756,26 @@ fn prepare_vm(
             // backoff; exhaustion (or missing artifacts) degrades to pure
             // userfaultfd demand paging — slower, never incorrect.
             let mut fetch = SimDuration::ZERO;
+            // The fetch runs before the engine starts and bypasses the page
+            // cache, so it submits directly: no window goes in flight, and
+            // an injected fault is booked without a trace event (the
+            // invocation span does not exist yet).
             match (spec.reap_ws.as_ref(), spec.reap_ws_file) {
                 (Some(ws), Some(ws_file)) => {
-                    let mut issue = SimTime::ZERO;
-                    let mut attempt: u32 = 0;
+                    let io = IoRequest {
+                        file: ws_file,
+                        page: 0,
+                        pages: ws.len(),
+                        kind: IoKind::ReapFetch,
+                    };
+                    let (mut issue, mut attempt) = (SimTime::ZERO, 0);
                     loop {
                         let (done, fate) = if ws.is_empty() {
                             (SimTime::ZERO, IoFate::Ok)
                         } else {
-                            let completion = host.submit_checked(
-                                issue,
-                                IoRequest {
-                                    file: ws_file,
-                                    page: 0,
-                                    pages: ws.len(),
-                                    kind: IoKind::ReapFetch,
-                                },
-                            );
+                            let completion = host.submit_checked(issue, io);
                             if let Some(f) = completion.fault {
-                                report.faults.record_injection(f.kind);
-                                host.metrics.counter_inc(
-                                    "faasnap_fault_injected_total",
-                                    &[("kind", f.kind.label())],
-                                );
+                                book_injection(&host.metrics, &mut report.faults, f);
                             }
                             (completion.done, fate_of(completion.fault))
                         };
@@ -812,33 +789,26 @@ fn prepare_vm(
                         }
                         // An O_DIRECT whole-file read is all-or-nothing:
                         // short reads re-issue the full request too.
-                        attempt += 1;
-                        if attempt >= MAX_REAP_RETRIES {
-                            report.degraded = true;
-                            host.metrics.counter_inc(
-                                "faasnap_degraded_total",
-                                &[("mode", "reap-no-prefetch")],
-                            );
-                            fetch = done - SimTime::ZERO;
-                            break;
+                        match retry(
+                            &host.metrics,
+                            &mut report.faults,
+                            RetrySite::ReapFetch,
+                            ws_file,
+                            0,
+                            attempt,
+                            done,
+                        ) {
+                            Ok(next) => (attempt, issue) = next,
+                            Err(_) => {
+                                report.degraded = true;
+                                host.metrics.counter_inc(
+                                    "faasnap_degraded_total",
+                                    &[("mode", "reap-no-prefetch")],
+                                );
+                                fetch = done - SimTime::ZERO;
+                                break;
+                            }
                         }
-                        let wait = backoff(attempt - 1);
-                        let at = done + wait;
-                        host.metrics.counter_inc(
-                            "faasnap_retry_total",
-                            &[("site", RetrySite::ReapFetch.label())],
-                        );
-                        report.faults.record_retry(
-                            RetryRecord {
-                                site: RetrySite::ReapFetch,
-                                file: ws_file,
-                                page: 0,
-                                attempt,
-                                at_ns: at.as_nanos(),
-                            },
-                            wait,
-                        );
-                        issue = at;
                     }
                 }
                 _ => {
@@ -1032,180 +1002,30 @@ impl World for SimWorld<'_> {
             }
             Ev::FaultDone {
                 vm,
-                page,
-                write,
-                token,
+                access,
                 kind,
                 started,
                 ctx,
             } => {
-                self.finish_access(vm, page, write, token, kind, started, now, ctx);
+                self.finish_access(vm, access, kind, started, now, ctx);
                 self.drive_vcpu(vm, now, sched);
-            }
-            Ev::FaultIoDone {
-                vm,
-                page,
-                write,
-                token,
-                io,
-                started,
-                overhead,
-                attempt,
-                fate,
-                ctx,
-            } => {
-                if fate == IoFate::Failed {
-                    // Nothing was transferred: drop the page locks this
-                    // read held (waiters re-fault) and retry or fail.
-                    self.host
-                        .pages
-                        .cancel_window(io.file, io.page, io.pages, now);
-                    self.host.tracer.end(ctx, now);
-                    let next = attempt + 1;
-                    if next >= MAX_FAULT_RETRIES {
-                        self.fail_vm(
-                            vm,
-                            now,
-                            RestoreError::ReadRetriesExhausted {
-                                site: RetrySite::GuestFault,
-                                file: io.file,
-                                page: io.page,
-                                attempts: next,
-                            },
-                        );
-                    } else {
-                        let wait = backoff(attempt);
-                        let at = now + overhead + wait;
-                        self.record_retry(
-                            vm,
-                            RetrySite::GuestFault,
-                            io.file,
-                            io.page,
-                            next,
-                            wait,
-                            at,
-                        );
-                        sched.schedule(
-                            at,
-                            Ev::FaultRetry {
-                                vm,
-                                page,
-                                write,
-                                token,
-                                attempt: next,
-                            },
-                        );
-                    }
-                    return;
-                }
-                let served = match fate {
-                    IoFate::Short { served } => served,
-                    _ => io.pages,
-                };
-                self.host.pages.insert_range(io.file, io.page, served);
-                self.host
-                    .pages
-                    .complete_window(io.file, io.page, served, now);
-                if served < io.pages {
-                    // Short read: the unserved tail's page locks drop;
-                    // its waiters re-fault. The faulting page itself is
-                    // always within the served prefix (readahead starts
-                    // at it), so this access still completes.
-                    self.host.pages.cancel_window(
-                        io.file,
-                        io.page + served,
-                        io.pages - served,
-                        now,
-                    );
-                }
-                let v = &mut self.vms[vm];
-                v.report.guest_fault_read_pages += served;
-                v.report.fault_block_requests += 1;
-                // Kernel-side handling overhead on top of the disk wait.
-                let done = now + overhead;
-                self.finish_access(vm, page, write, token, FaultKind::Major, started, done, ctx);
-                sched.schedule(done, Ev::Resume { vm });
             }
             Ev::FaultRetry {
                 vm,
-                page,
-                write,
-                token,
+                access,
                 attempt,
             } => {
-                if self.vms[vm].error.is_some() {
-                    return;
-                }
                 // Re-resolve from scratch: a concurrent read may have
                 // populated the cache meanwhile, in which case the access
                 // completes without touching the disk again.
-                if !self.handle_access(vm, page, write, token, now, sched, attempt) {
-                    self.drive_vcpu(vm, now, sched);
+                if self.vms[vm].error.is_none() {
+                    self.reenter(vm, access, attempt, now, sched);
                 }
             }
             Ev::Resume { vm } => self.drive_vcpu(vm, now, sched),
-            Ev::AsyncReadDone {
-                vm,
-                io,
-                guest_start,
-                fate,
-                ctx,
-            } => {
-                self.host.tracer.end(ctx, now);
-                if fate == IoFate::Failed {
-                    // Async readahead failures are dropped silently (as
-                    // the kernel does): no vCPU waits on this read, and
-                    // any page it covered re-faults on demand.
-                    self.host
-                        .pages
-                        .cancel_window(io.file, io.page, io.pages, now);
-                    return;
-                }
-                let served = match fate {
-                    IoFate::Short { served } => served,
-                    _ => io.pages,
-                };
-                self.host.pages.insert_range(io.file, io.page, served);
-                self.host
-                    .pages
-                    .complete_window(io.file, io.page, served, now);
-                if served < io.pages {
-                    self.host.pages.cancel_window(
-                        io.file,
-                        io.page + served,
-                        io.pages - served,
-                        now,
-                    );
-                }
-                let v = &mut self.vms[vm];
-                v.report.guest_fault_read_pages += served;
-                v.report.fault_block_requests += 1;
-                // Readahead marker: if the guest has consumed up to (at
-                // least) one window behind this one, it is streaming —
-                // chain the next async window to stay ahead (Linux grows
-                // and re-arms async readahead the same way). A shortened
-                // window breaks the chain (the gap re-faults on demand).
-                let marker = guest_start.saturating_sub(io.pages);
-                if served == io.pages
-                    && v.done_at.is_none()
-                    && v.pt.state(marker) == PageState::Mapped
-                {
-                    self.submit_async_window(
-                        vm,
-                        io.file,
-                        io.page + io.pages,
-                        guest_start + io.pages,
-                        io.pages,
-                        now,
-                        sched,
-                    );
-                }
-            }
             Ev::InflightDone {
                 vm,
-                page,
-                write,
-                token,
+                access,
                 started,
                 attempt,
                 ctx,
@@ -1216,97 +1036,34 @@ impl World for SimWorld<'_> {
                 // If the read this waiter was parked on failed, its page
                 // locks were cancelled and the cache was never populated:
                 // re-fault from scratch instead of installing a page with
-                // no backing bytes. Waiting on a failed read consumes one
-                // of the waiter's own retry attempts — otherwise siblings
-                // alternating between issuing and waiting on each other's
-                // failing reads would reset their budgets forever.
-                let v = &self.vms[vm];
-                let stale = match v.aspace.resolve(page) {
-                    Some(Resolved::File { file, file_page }) => {
-                        if self.host.pages.contains(file, file_page) {
-                            None
-                        } else {
-                            Some((file, file_page))
+                // no backing bytes. Waiting on a failed read spends one of
+                // the waiter's own attempts, with no backoff and no retry
+                // booked — otherwise siblings alternating between issuing
+                // and waiting on each other's failing reads would reset
+                // their budgets forever.
+                match self.vms[vm].aspace.resolve(access.page) {
+                    Some(Resolved::File { file, file_page })
+                        if !self.host.pages.contains(file, file_page) =>
+                    {
+                        self.host.tracer.end(ctx, now);
+                        match next_attempt(RetrySite::GuestFault, file, file_page, attempt) {
+                            Ok(next) => self.reenter(vm, access, next, now, sched),
+                            Err(e) => self.fail_vm(vm, now, e),
                         }
                     }
-                    _ => None,
-                };
-                if let Some((file, file_page)) = stale {
-                    self.host.tracer.end(ctx, now);
-                    let next = attempt + 1;
-                    if next >= MAX_FAULT_RETRIES {
-                        self.fail_vm(
-                            vm,
-                            now,
-                            RestoreError::ReadRetriesExhausted {
-                                site: RetrySite::GuestFault,
-                                file,
-                                page: file_page,
-                                attempts: next,
-                            },
-                        );
-                        return;
-                    }
-                    if !self.handle_access(vm, page, write, token, now, sched, next) {
+                    _ => {
+                        self.finish_access(vm, access, FaultKind::Major, started, now, ctx);
                         self.drive_vcpu(vm, now, sched);
                     }
-                    return;
                 }
-                self.finish_access(vm, page, write, token, FaultKind::Major, started, now, ctx);
-                self.drive_vcpu(vm, now, sched);
             }
-            Ev::LoaderChunkDone {
+            Ev::ReadDone {
                 vm,
-                idx,
                 io,
-                attempt,
                 fate,
                 ctx,
-            } => {
-                self.host.tracer.end(ctx, now);
-                match fate {
-                    IoFate::Failed => {
-                        self.host
-                            .pages
-                            .cancel_window(io.file, io.page, io.pages, now);
-                        self.loader_retry_or_degrade(vm, idx, io, io.page, attempt, now, sched);
-                    }
-                    IoFate::Short { served } => {
-                        // Keep the served prefix; retry resumes at the
-                        // first unserved page.
-                        self.host.pages.insert_range(io.file, io.page, served);
-                        self.host
-                            .pages
-                            .complete_window(io.file, io.page, served, now);
-                        self.host.pages.cancel_window(
-                            io.file,
-                            io.page + served,
-                            io.pages - served,
-                            now,
-                        );
-                        self.loader_retry_or_degrade(
-                            vm,
-                            idx,
-                            io,
-                            io.page + served,
-                            attempt,
-                            now,
-                            sched,
-                        );
-                    }
-                    IoFate::Ok => {
-                        self.host.pages.insert_range(io.file, io.page, io.pages);
-                        self.host
-                            .pages
-                            .complete_window(io.file, io.page, io.pages, now);
-                        let v = &mut self.vms[vm];
-                        if let Some(start) = v.loader_started {
-                            v.report.fetch_time = now - start;
-                        }
-                        self.loader_issue_next(vm, now, sched);
-                    }
-                }
-            }
+                reader,
+            } => self.read_done(vm, io, fate, ctx, reader, now, sched),
             Ev::LoaderRetry { vm, idx, attempt } => {
                 let v = &self.vms[vm];
                 if v.done_at.is_some() || v.error.is_some() || v.loader_next >= v.loader_plan.len()
@@ -1338,94 +1095,7 @@ impl World for SimWorld<'_> {
                     pages: end - p,
                     kind: IoKind::LoaderPrefetch,
                 };
-                self.loader_submit(vm, idx, io, attempt, now, sched);
-            }
-            Ev::ReapIoDone {
-                vm,
-                page,
-                write,
-                token,
-                io,
-                started,
-                attempt,
-                fate,
-                ctx,
-            } => {
-                // Single-page reads cannot come up short: a short read
-                // degrades to a hard failure at injection time.
-                if fate != IoFate::Ok {
-                    self.host
-                        .pages
-                        .cancel_window(io.file, io.page, io.pages, now);
-                    self.host.tracer.end(ctx, now);
-                    let next = attempt + 1;
-                    if next >= MAX_REAP_RETRIES {
-                        self.fail_vm(
-                            vm,
-                            now,
-                            RestoreError::ReadRetriesExhausted {
-                                site: RetrySite::ReapMiss,
-                                file: io.file,
-                                page: io.page,
-                                attempts: next,
-                            },
-                        );
-                    } else {
-                        let wait = backoff(attempt);
-                        let at = now + wait;
-                        self.record_retry(
-                            vm,
-                            RetrySite::ReapMiss,
-                            io.file,
-                            io.page,
-                            next,
-                            wait,
-                            at,
-                        );
-                        sched.schedule(
-                            at,
-                            Ev::FaultRetry {
-                                vm,
-                                page,
-                                write,
-                                token,
-                                attempt: next,
-                            },
-                        );
-                    }
-                    return;
-                }
-                self.host.pages.insert_range(io.file, io.page, io.pages);
-                self.host
-                    .pages
-                    .complete_window(io.file, io.page, io.pages, now);
-                let v = &mut self.vms[vm];
-                let resume_at = match v.reap.as_mut() {
-                    Some(handler) => handler.complete_with_io(started, now, &self.host.costs),
-                    None => now,
-                };
-                sched.schedule(
-                    resume_at,
-                    Ev::ReapResume {
-                        vm,
-                        page,
-                        write,
-                        token,
-                        started,
-                        ctx,
-                    },
-                );
-            }
-            Ev::ReapResume {
-                vm,
-                page,
-                write,
-                token,
-                started,
-                ctx,
-            } => {
-                self.finish_access(vm, page, write, token, FaultKind::Uffd, started, now, ctx);
-                self.drive_vcpu(vm, now, sched);
+                self.loader_read(vm, idx, io, attempt, now, sched);
             }
             Ev::MincorePoll { vm } => {
                 let v = &mut self.vms[vm];
@@ -1443,13 +1113,10 @@ impl World for SimWorld<'_> {
 
 impl SimWorld<'_> {
     /// Applies the completed access and updates stats.
-    #[allow(clippy::too_many_arguments)]
     fn finish_access(
         &mut self,
         vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
+        access: Access,
         kind: FaultKind,
         started: SimTime,
         now: SimTime,
@@ -1463,10 +1130,10 @@ impl SimWorld<'_> {
             .metrics
             .observe("faasnap_fault_wait_us", &[], now - started);
         let v = &mut self.vms[vm];
-        v.pt.install(page);
+        v.pt.install(access.page);
         v.report.record_fault(kind, now - started);
-        if write {
-            v.mem.write(page, token);
+        if access.write {
+            v.mem.write(access.page, access.token);
         }
     }
 
@@ -1514,7 +1181,8 @@ impl SimWorld<'_> {
                     }
                 }
                 Step::Access { page, write, token } => {
-                    if self.handle_access(vm, page, write, token, now, sched, 0) {
+                    let access = Access { page, write, token };
+                    if self.handle_access(vm, access, 0, now, sched) {
                         return; // blocked on a fault
                     }
                 }
@@ -1522,19 +1190,32 @@ impl SimWorld<'_> {
         }
     }
 
+    /// Re-enters fault handling for a blocked access, resuming the vCPU
+    /// if the access no longer blocks.
+    fn reenter(
+        &mut self,
+        vm: usize,
+        access: Access,
+        attempt: u32,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        if !self.handle_access(vm, access, attempt, now, sched) {
+            self.drive_vcpu(vm, now, sched);
+        }
+    }
+
     /// Handles one access; returns true if the vCPU blocked. `attempt`
-    /// is nonzero when re-entering after a failed read's backoff.
-    #[allow(clippy::too_many_arguments)]
+    /// counts the access's failed reads so far.
     fn handle_access(
         &mut self,
         vm: usize,
-        page: PageNum,
-        write: bool,
-        token: u64,
+        access: Access,
+        attempt: u32,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-        attempt: u32,
     ) -> bool {
+        let page = access.page;
         let v = &mut self.vms[vm];
         let (outcome, ctx) = v.resolver.resolve_traced(
             page,
@@ -1556,187 +1237,288 @@ impl SimWorld<'_> {
         }
         match outcome {
             FaultOutcome::NoFault => {
-                if write {
-                    v.mem.write(page, token);
+                if access.write {
+                    v.mem.write(page, access.token);
                 }
-                false
+                return false;
             }
             FaultOutcome::Resolved { cost, kind } => {
-                sched.schedule(
-                    now + cost,
-                    Ev::FaultDone {
-                        vm,
-                        page,
-                        write,
-                        token,
-                        kind,
-                        started: now,
-                        ctx,
-                    },
-                );
-                true
+                let ev = Ev::FaultDone {
+                    vm,
+                    access,
+                    kind,
+                    started: now,
+                    ctx,
+                };
+                sched.schedule(now + cost, ev);
             }
             FaultOutcome::WaitInflight { ready_at, cost } => {
-                sched.schedule(
-                    ready_at + cost,
-                    Ev::InflightDone {
-                        vm,
-                        page,
-                        write,
-                        token,
-                        started: now,
-                        attempt,
-                        ctx,
-                    },
-                );
-                true
+                let ev = Ev::InflightDone {
+                    vm,
+                    access,
+                    started: now,
+                    attempt,
+                    ctx,
+                };
+                sched.schedule(ready_at + cost, ev);
             }
             FaultOutcome::NeedsIo {
                 io,
                 overhead,
                 async_io,
             } => {
-                let completion = self.host.submit_checked(now, io);
-                if let Some(f) = completion.fault {
-                    self.record_injection(vm, now, f);
-                }
-                let done = completion.done;
-                self.host
-                    .pages
-                    .insert_window(io.file, io.page, io.pages, done);
-                sched.schedule(
-                    done,
-                    Ev::FaultIoDone {
-                        vm,
-                        page,
-                        write,
-                        token,
-                        io,
-                        started: now,
-                        overhead,
-                        attempt,
-                        fate: fate_of(completion.fault),
-                        ctx,
-                    },
-                );
+                let reader = Reader::Fault {
+                    access,
+                    started: now,
+                    overhead,
+                    attempt,
+                };
+                self.read(vm, now, now, io, ctx, reader, sched);
                 // Linux async readahead: the next window of a sequential
                 // stream is read without blocking the faulting task.
                 if let Some(aio) = async_io {
-                    let acomp = self.host.submit_checked(now, aio);
-                    if let Some(f) = acomp.fault {
-                        self.record_injection(vm, now, f);
-                    }
-                    let adone = acomp.done;
-                    self.host
-                        .pages
-                        .insert_window(aio.file, aio.page, aio.pages, adone);
-                    let guest_start = page + io.pages;
-                    let actx = self.host.tracer.begin(
-                        "readahead/async",
-                        "mm",
-                        now,
-                        self.vms[vm].ctx_function,
-                    );
-                    self.host.tracer.tag(actx, "pages", aio.pages);
-                    sched.schedule(
-                        adone,
-                        Ev::AsyncReadDone {
-                            vm,
-                            io: aio,
-                            guest_start,
-                            fate: fate_of(acomp.fault),
-                            ctx: actx,
-                        },
-                    );
+                    self.readahead(vm, aio, page + io.pages, now, sched);
                 }
-                true
             }
             FaultOutcome::Userfault { file, file_page } => {
-                let handler = self.vms[vm]
-                    .reap
-                    .as_mut()
-                    .expect("uffd fault without handler");
+                let handler = v.reap.as_mut().expect("uffd fault without handler");
                 if self.host.pages.contains(file, file_page) {
                     let svc = handler.serve_cached(now, &self.host.costs);
-                    sched.schedule(
-                        svc.resume_at,
-                        Ev::ReapResume {
-                            vm,
-                            page,
-                            write,
-                            token,
-                            started: now,
-                            ctx,
-                        },
-                    );
+                    let ev = Ev::FaultDone {
+                        vm,
+                        access,
+                        kind: FaultKind::Uffd,
+                        started: now,
+                        ctx,
+                    };
+                    sched.schedule(svc.resume_at, ev);
                 } else {
-                    let issue_at = handler.serve_uncached(now, &self.host.costs);
                     // The handler preads exactly the faulting page from the
                     // memory file (Figure 2's > 128 µs population: most
                     // out-of-set misses pay a full random disk read).
-                    let pages = 1;
+                    let issue_at = handler.serve_uncached(now, &self.host.costs);
+                    v.report.guest_fault_read_pages += 1;
+                    v.report.fault_block_requests += 1;
                     let io = IoRequest {
                         file,
                         page: file_page,
-                        pages,
+                        pages: 1,
                         kind: IoKind::ReapMiss,
                     };
-                    let completion = self.host.submit_checked(issue_at, io);
-                    if let Some(f) = completion.fault {
-                        self.record_injection(vm, now, f);
-                    }
-                    let done = completion.done;
-                    self.host.pages.insert_window(file, file_page, pages, done);
-                    self.vms[vm].report.guest_fault_read_pages += pages;
-                    self.vms[vm].report.fault_block_requests += 1;
-                    sched.schedule(
-                        done,
-                        Ev::ReapIoDone {
-                            vm,
-                            page,
-                            write,
-                            token,
-                            io,
-                            started: now,
-                            attempt,
-                            fate: fate_of(completion.fault),
-                            ctx,
-                        },
-                    );
+                    let reader = Reader::ReapMiss {
+                        access,
+                        started: now,
+                        attempt,
+                    };
+                    self.read(vm, now, issue_at, io, ctx, reader, sched);
                 }
-                true
             }
         }
+        true
     }
 
-    /// Issues a chained async readahead window for a streaming reader,
-    /// clamped to the mapping extent and trimmed at cached/in-flight
-    /// pages. No vCPU waits on it.
+    /// Submits a checked read for `vm`, issued at `at`: books any injected
+    /// fault at `now` (the fault instant), marks the window in flight
+    /// until the read completes, and schedules the completion for
+    /// `reader`.
     #[allow(clippy::too_many_arguments)]
-    fn submit_async_window(
+    fn read(
         &mut self,
         vm: usize,
-        file: FileId,
-        file_start: u64,
-        guest_start: PageNum,
-        len: u64,
+        now: SimTime,
+        at: SimTime,
+        io: IoRequest,
+        ctx: TraceContext,
+        reader: Reader,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let completion = self.host.submit_checked(at, io);
+        if let Some(f) = completion.fault {
+            self.record_injection(vm, now, f);
+        }
+        self.host
+            .pages
+            .insert_window(io.file, io.page, io.pages, completion.done);
+        let fate = fate_of(completion.fault);
+        sched.schedule(
+            completion.done,
+            Ev::ReadDone {
+                vm,
+                io,
+                fate,
+                ctx,
+                reader,
+            },
+        );
+    }
+
+    /// Completes a checked read: puts the served pages in the page cache
+    /// and cancels the page locks of the unserved tail (its waiters
+    /// re-fault), then hands the outcome to the read's consumer.
+    #[allow(clippy::too_many_arguments)]
+    fn read_done(
+        &mut self,
+        vm: usize,
+        io: IoRequest,
+        fate: IoFate,
+        ctx: TraceContext,
+        reader: Reader,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        let v = &self.vms[vm];
-        if guest_start >= v.pt.total_pages() {
+        let served = match fate {
+            IoFate::Ok => io.pages,
+            IoFate::Short { served } => served,
+            IoFate::Failed => 0,
+        };
+        let pages = &mut self.host.pages;
+        pages.insert_range(io.file, io.page, served);
+        pages.complete_window(io.file, io.page, served, now);
+        pages.cancel_window(io.file, io.page + served, io.pages - served, now);
+        // A blocked access whose read failed retries after backoff, or
+        // fails the invocation closed; `ready` is when its backoff starts.
+        let (site, access, attempt, ready) = match reader {
+            // A short read still completes the access: the faulting page
+            // is always within the served prefix (readahead starts at it).
+            Reader::Fault {
+                access,
+                started,
+                overhead,
+                ..
+            } if fate != IoFate::Failed => {
+                let v = &mut self.vms[vm];
+                v.report.guest_fault_read_pages += served;
+                v.report.fault_block_requests += 1;
+                // Kernel-side handling overhead on top of the disk wait.
+                let done = now + overhead;
+                self.finish_access(vm, access, FaultKind::Major, started, done, ctx);
+                sched.schedule(done, Ev::Resume { vm });
+                return;
+            }
+            Reader::Fault {
+                access,
+                overhead,
+                attempt,
+                ..
+            } => (RetrySite::GuestFault, access, attempt, now + overhead),
+            // The handler reads one page, so anything but a full read is
+            // a failure (a one-page short read is injected as an error).
+            Reader::ReapMiss {
+                access, started, ..
+            } if fate == IoFate::Ok => {
+                let resume_at = match self.vms[vm].reap.as_mut() {
+                    Some(handler) => handler.complete_with_io(started, now, &self.host.costs),
+                    None => now,
+                };
+                let ev = Ev::FaultDone {
+                    vm,
+                    access,
+                    kind: FaultKind::Uffd,
+                    started,
+                    ctx,
+                };
+                sched.schedule(resume_at, ev);
+                return;
+            }
+            Reader::ReapMiss {
+                access, attempt, ..
+            } => (RetrySite::ReapMiss, access, attempt, now),
+            Reader::Readahead { guest_start } => {
+                self.host.tracer.end(ctx, now);
+                // Failed async readahead is dropped, never retried (as the
+                // kernel does): no vCPU waits on it, and any page it
+                // covered re-faults on demand.
+                if fate != IoFate::Failed {
+                    self.readahead_done(vm, io, served, guest_start, now, sched);
+                }
+                return;
+            }
+            Reader::Loader { idx, attempt } => {
+                self.host.tracer.end(ctx, now);
+                self.loader_done(vm, idx, io, served, attempt, now, sched);
+                return;
+            }
+        };
+        self.host.tracer.end(ctx, now);
+        let faults = &mut self.vms[vm].report.faults;
+        match retry(
+            &self.host.metrics,
+            faults,
+            site,
+            io.file,
+            io.page,
+            attempt,
+            ready,
+        ) {
+            Ok((attempt, at)) => {
+                let ev = Ev::FaultRetry {
+                    vm,
+                    access,
+                    attempt,
+                };
+                sched.schedule(at, ev);
+            }
+            Err(e) => self.fail_vm(vm, now, e),
+        }
+    }
+
+    /// Issues an async readahead window, which no vCPU waits on.
+    /// `guest_start` is the guest page backing `io.page`.
+    fn readahead(
+        &mut self,
+        vm: usize,
+        io: IoRequest,
+        guest_start: PageNum,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let parent = self.vms[vm].ctx_function;
+        let ctx = self.host.tracer.begin("readahead/async", "mm", now, parent);
+        self.host.tracer.tag(ctx, "pages", io.pages);
+        let reader = Reader::Readahead { guest_start };
+        self.read(vm, now, now, io, ctx, reader, sched);
+    }
+
+    /// Accounts a completed readahead window and, if the guest is
+    /// streaming through it, chains the next one.
+    fn readahead_done(
+        &mut self,
+        vm: usize,
+        io: IoRequest,
+        served: u64,
+        guest_start: PageNum,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let v = &mut self.vms[vm];
+        v.report.guest_fault_read_pages += served;
+        v.report.fault_block_requests += 1;
+        // Readahead marker: if the guest has consumed up to (at least)
+        // one window behind this one, it is streaming — chain the next
+        // async window to stay ahead (Linux grows and re-arms async
+        // readahead the same way). A shortened window breaks the chain
+        // (the gap re-faults on demand).
+        let marker = guest_start.saturating_sub(io.pages);
+        if served < io.pages || v.done_at.is_some() || v.pt.state(marker) != PageState::Mapped {
             return;
         }
         // The chain only continues while the stream stays within one
         // mapping: the next guest page must still resolve to the expected
         // file offset, or the readahead state is stale (crossed a VMA
         // boundary, e.g. into a different loading-set region).
+        let (file, file_start) = (io.file, io.page + io.pages);
+        let guest_start = guest_start + io.pages;
+        if guest_start >= v.pt.total_pages() {
+            return;
+        }
         match v.aspace.resolve(guest_start) {
             Some(Resolved::File { file: f, file_page }) if f == file && file_page == file_start => {
             }
             _ => return,
         }
-        let room = v.aspace.contiguous_extent(guest_start, len);
+        // Clamp to the mapping extent and trim at cached or in-flight
+        // pages.
+        let room = v.aspace.contiguous_extent(guest_start, io.pages);
         let mut pages = 0;
         for fp in file_start..file_start + room {
             if self.host.pages.contains(file, fp)
@@ -1755,28 +1537,7 @@ impl SimWorld<'_> {
             pages,
             kind: IoKind::FaultRead,
         };
-        let completion = self.host.submit_checked(now, io);
-        if let Some(f) = completion.fault {
-            self.record_injection(vm, now, f);
-        }
-        self.host
-            .pages
-            .insert_window(file, file_start, pages, completion.done);
-        let ctx = self
-            .host
-            .tracer
-            .begin("readahead/async", "mm", now, self.vms[vm].ctx_function);
-        self.host.tracer.tag(ctx, "pages", pages);
-        sched.schedule(
-            completion.done,
-            Ev::AsyncReadDone {
-                vm,
-                io,
-                guest_start,
-                fate: fate_of(completion.fault),
-                ctx,
-            },
-        );
+        self.readahead(vm, io, guest_start, now, sched);
     }
 
     /// Advances the loader: skips chunks that are already fully cached
@@ -1806,14 +1567,14 @@ impl SimWorld<'_> {
                     .counter_inc("faasnap_prefetch_skipped_chunks_total", &[]);
                 continue;
             }
-            self.loader_submit(vm, idx, chunk, 0, now, sched);
+            self.loader_read(vm, idx, chunk, 0, now, sched);
             return;
         }
     }
 
     /// Issues one loader read (a whole chunk, or its uncovered suffix on
-    /// a retry) through the fault-checked path.
-    fn loader_submit(
+    /// a retry).
+    fn loader_read(
         &mut self,
         vm: usize,
         idx: usize,
@@ -1822,13 +1583,6 @@ impl SimWorld<'_> {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        let completion = self.host.submit_checked(now, io);
-        if let Some(f) = completion.fault {
-            self.record_injection(vm, now, f);
-        }
-        self.host
-            .pages
-            .insert_window(io.file, io.page, io.pages, completion.done);
         let parent = self.vms[vm].ctx_loader.unwrap_or(TraceContext::NONE);
         let ctx = self
             .host
@@ -1836,63 +1590,61 @@ impl SimWorld<'_> {
             .begin("loader/chunk", "loader", now, parent);
         self.host.tracer.tag(ctx, "file_page", io.page);
         self.host.tracer.tag(ctx, "pages", io.pages);
+        let reader = Reader::Loader { idx, attempt };
+        self.read(vm, now, now, io, ctx, reader, sched);
         self.host
             .metrics
             .counter_add("faasnap_prefetch_bytes_total", &[], io.pages * 4096);
         self.host
             .metrics
             .counter_inc("faasnap_prefetch_chunks_total", &[]);
-        sched.schedule(
-            completion.done,
-            Ev::LoaderChunkDone {
-                vm,
-                idx,
-                io,
-                attempt,
-                fate: fate_of(completion.fault),
-                ctx,
-            },
-        );
     }
 
-    /// After a failed loader read: schedule a backoff retry, or — once
-    /// the budget is spent — degrade. Prefetch failure is never fatal:
-    /// if the loading-set file itself is unreadable, the whole-file
-    /// memory mapping is overlaid (MAP_FIXED) so every remaining page
-    /// demand-pages from the memory file with byte-identical contents;
-    /// otherwise the loader is simply abandoned and the guest's own
-    /// faults finish the job.
+    /// Handles a finished loader read. A failed or short read keeps its
+    /// served prefix and retries after backoff — its record names the
+    /// first unserved page — or, once the budget is spent, degrades.
+    /// Prefetch failure is never fatal: if the loading-set file itself is
+    /// unreadable, the whole-file memory mapping is overlaid (MAP_FIXED)
+    /// so every remaining page demand-pages from the memory file with
+    /// byte-identical contents; otherwise the loader is simply abandoned
+    /// and the guest's own faults finish the job.
     #[allow(clippy::too_many_arguments)]
-    fn loader_retry_or_degrade(
+    fn loader_done(
         &mut self,
         vm: usize,
         idx: usize,
         io: IoRequest,
-        retry_page: u64,
+        served: u64,
         attempt: u32,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        let next = attempt + 1;
-        if next < MAX_LOADER_RETRIES {
-            let wait = backoff(attempt);
-            let at = now + wait;
-            self.record_retry(vm, RetrySite::Loader, io.file, retry_page, next, wait, at);
-            sched.schedule(
-                at,
-                Ev::LoaderRetry {
-                    vm,
-                    idx,
-                    attempt: next,
-                },
-            );
+        let v = &mut self.vms[vm];
+        if served == io.pages {
+            if let Some(start) = v.loader_started {
+                v.report.fetch_time = now - start;
+            }
+            self.loader_issue_next(vm, now, sched);
             return;
         }
-        let total = self.vms[vm].pt.total_pages();
-        let v = &mut self.vms[vm];
+        let faults = &mut v.report.faults;
+        let page = io.page + served;
+        let retried = retry(
+            &self.host.metrics,
+            faults,
+            RetrySite::Loader,
+            io.file,
+            page,
+            attempt,
+            now,
+        );
+        if let Ok((attempt, at)) = retried {
+            sched.schedule(at, Ev::LoaderRetry { vm, idx, attempt });
+            return;
+        }
         v.report.degraded = true;
         let mode = if v.ls_file == Some(io.file) {
-            mapper::map_vanilla(&mut v.aspace, total, v.mem_file);
+            mapper::map_vanilla(&mut v.aspace, v.pt.total_pages(), v.mem_file);
             "vanilla-fallback"
         } else {
             "prefetch-abandoned"
@@ -1905,7 +1657,7 @@ impl SimWorld<'_> {
     }
 
     /// Marks an invocation as failed closed: the vCPU never resumes, the
-    /// loader stops, and `try_run_invocations` surfaces the error.
+    /// loader stops, and [`run`] or [`fork`] surfaces the error.
     fn fail_vm(&mut self, vm: usize, now: SimTime, err: RestoreError) {
         if self.vms[vm].error.is_some() {
             return;
@@ -1929,10 +1681,7 @@ impl SimWorld<'_> {
     /// Only ever called when an injection actually fired, so healthy runs
     /// emit no new metric series or trace events.
     fn record_injection(&mut self, vm: usize, now: SimTime, f: InjectedFault) {
-        self.vms[vm].report.faults.record_injection(f.kind);
-        self.host
-            .metrics
-            .counter_inc("faasnap_fault_injected_total", &[("kind", f.kind.label())]);
+        book_injection(&self.host.metrics, &mut self.vms[vm].report.faults, f);
         if self.host.tracer.is_enabled() {
             self.host.tracer.instant(
                 "fault_injected",
@@ -1943,33 +1692,12 @@ impl SimWorld<'_> {
             );
         }
     }
+}
 
-    /// Accounts one scheduled retry (report + metrics).
-    #[allow(clippy::too_many_arguments)]
-    fn record_retry(
-        &mut self,
-        vm: usize,
-        site: RetrySite,
-        file: FileId,
-        page: u64,
-        attempt: u32,
-        wait: SimDuration,
-        at: SimTime,
-    ) {
-        self.host
-            .metrics
-            .counter_inc("faasnap_retry_total", &[("site", site.label())]);
-        self.vms[vm].report.faults.record_retry(
-            RetryRecord {
-                site,
-                file,
-                page,
-                attempt,
-                at_ns: at.as_nanos(),
-            },
-            wait,
-        );
-    }
+/// Books one observed fault injection in `faults` and the metrics.
+fn book_injection(metrics: &Metrics, faults: &mut FaultReport, f: InjectedFault) {
+    faults.record_injection(f.kind);
+    metrics.counter_inc("faasnap_fault_injected_total", &[("kind", f.kind.label())]);
 }
 
 /// Verifies the mapping serves the right bytes for a faulting page:
@@ -2031,6 +1759,10 @@ mod tests {
         (host, mem, f)
     }
 
+    fn run_one(host: &mut Host, spec: InvocationSpec) -> InvocationOutcome {
+        run(host, vec![spec]).unwrap().remove(0)
+    }
+
     fn touch_trace(start: u64, len: u64, write: bool) -> Trace {
         let mut t = Trace::new();
         t.push(TraceOp::Touch {
@@ -2049,7 +1781,7 @@ mod tests {
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Warm, touch_trace(100, 50, false), mem, f);
         spec.verify_mappings = false;
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(out.report.setup_time, SimDuration::ZERO);
         assert_eq!(out.report.total_faults(), 0, "resident pages do not fault");
         // 50 pages x 1us compute.
@@ -2063,7 +1795,7 @@ mod tests {
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Warm, touch_trace(1000, 20, true), mem, f);
         spec.verify_mappings = false;
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(out.report.anon_faults, 20);
         assert_eq!(out.report.major_faults, 0);
     }
@@ -2077,7 +1809,7 @@ mod tests {
             mem.clone(),
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert!(out.report.major_faults > 0);
         assert!(out.report.guest_fault_read_pages >= 100);
         // Second run without dropping caches: everything is cached.
@@ -2087,7 +1819,7 @@ mod tests {
             mem,
             f,
         );
-        let out2 = run_invocation(&mut host, spec2);
+        let out2 = run_one(&mut host, spec2);
         assert_eq!(out2.report.major_faults, 0);
         assert_eq!(out2.report.minor_faults, 100);
         assert!(out2.report.total_time() < out.report.total_time());
@@ -2103,7 +1835,7 @@ mod tests {
             mem,
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(out.report.major_faults, 0);
         assert_eq!(out.report.minor_faults, 200);
     }
@@ -2120,7 +1852,7 @@ mod tests {
             mem,
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert!(
             out.report.major_faults > 0,
             "zero-page writes still read the file"
@@ -2148,7 +1880,7 @@ mod tests {
         spec.ls = Some(ls);
         spec.ls_file = Some(ls_file);
         spec.ws = Some(ws);
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(
             out.report.anon_faults, 10,
             "heap writes are anonymous faults"
@@ -2171,7 +1903,7 @@ mod tests {
             InvocationSpec::new(RestoreStrategy::Reap, touch_trace(100, 150, false), mem, f);
         spec.reap_ws = Some(reap_ws);
         spec.reap_ws_file = Some(ws_file);
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(out.report.host_pte_faults, 100, "prefetched pages");
         assert_eq!(
             out.report.uffd_faults, 50,
@@ -2209,7 +1941,7 @@ mod tests {
                 f,
             )
         };
-        let outs = run_invocations(&mut host, vec![mk(&mem), mk(&mem), mk(&mem)]);
+        let outs = run(&mut host, vec![mk(&mem), mk(&mem), mk(&mem)]).unwrap();
         let total_majors: u64 = outs.iter().map(|o| o.report.major_faults).sum();
         let total_minors_waits: u64 = outs
             .iter()
@@ -2232,7 +1964,7 @@ mod tests {
         host.drop_caches();
         let spec =
             InvocationSpec::new(RestoreStrategy::Vanilla, touch_trace(100, 50, true), mem, f);
-        let fork = run_fork(&mut host, spec, 4);
+        let fork = fork(&mut host, spec, 4).unwrap();
         assert_eq!(fork.outcomes.len(), 4);
         // All siblings fault the same 50 pages, but the disk serves far
         // fewer than 4x: in-flight waits and cache hits dedupe reads.
@@ -2267,11 +1999,11 @@ mod tests {
         };
         let (mut host, mem, f) = tiny_world();
         host.drop_caches();
-        let solo = run_invocation(&mut host, mk(&mem, f));
+        let solo = run_one(&mut host, mk(&mem, f));
         // A fresh identical host, so seed and vmgenid draws line up.
         let (mut host2, mem2, f2) = tiny_world();
         host2.drop_caches();
-        let fork = run_fork(&mut host2, mk(&mem2, f2), 1);
+        let fork = fork(&mut host2, mk(&mem2, f2), 1).unwrap();
         let sib = &fork.outcomes[0];
         assert_eq!(solo.report.total_faults(), sib.report.total_faults());
         assert_eq!(solo.report.invocation_time, sib.report.invocation_time);
@@ -2306,7 +2038,7 @@ mod tests {
         spec.ls = Some(ls);
         spec.ls_file = Some(ls_file);
         spec.ws = Some(ws);
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         assert_eq!(
             out.report.major_faults, 0,
             "loader beat the 50ms setup window"
@@ -2326,7 +2058,7 @@ mod tests {
             f,
         );
         spec.record = true;
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         let ws = out.ws.expect("working set recorded");
         let reap = out.reap_ws.expect("REAP set recorded");
         assert_eq!(reap.len(), 50, "every first fault recorded");
@@ -2337,7 +2069,7 @@ mod tests {
     fn guest_writes_visible_in_final_memory() {
         let (mut host, mem, f) = tiny_world();
         let spec = InvocationSpec::new(RestoreStrategy::Vanilla, touch_trace(100, 5, true), mem, f);
-        let out = run_invocation(&mut host, spec);
+        let out = run_one(&mut host, spec);
         for p in 100..105 {
             assert_eq!(out.final_memory.read(p), Trace::token_for(5, p));
         }
@@ -2361,8 +2093,8 @@ mod tests {
                 f,
             )
         };
-        let a = run_invocation(&mut host, mk());
-        let b = run_invocation(&mut host, mk());
+        let a = run_one(&mut host, mk());
+        let b = run_one(&mut host, mk());
         assert_ne!(a.report.vm_generation_id, b.report.vm_generation_id);
         assert!(a.report.vm_generation_id > 0);
     }
@@ -2377,10 +2109,7 @@ mod tests {
                 mem,
                 f,
             );
-            run_invocation(&mut host, spec)
-                .report
-                .total_time()
-                .as_nanos()
+            run_one(&mut host, spec).report.total_time().as_nanos()
         };
         assert_eq!(run(), run());
     }
@@ -2422,6 +2151,6 @@ mod tests {
         spec.ws = Some(ws);
         // Touching page 300 (zero per stale scan, non-zero in RAM).
         spec.trace = touch_trace(300, 1, false);
-        run_invocation(&mut host, spec);
+        run_one(&mut host, spec);
     }
 }

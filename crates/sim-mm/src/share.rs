@@ -55,11 +55,6 @@ impl ShareMap {
         self.chunked.insert(file, map);
     }
 
-    /// Removes a file's chunk-store backing.
-    pub fn unmap_file(&mut self, file: FileId) -> Option<ChunkedFile> {
-        self.chunked.remove(&file)
-    }
-
     /// The chunk-store backing of `file`, if any.
     pub fn chunked(&self, file: FileId) -> Option<&ChunkedFile> {
         self.chunked.get(&file)

@@ -10,7 +10,7 @@
 //!   bus, and an IOPS admission gate. Profiles for the paper's NVMe SSD
 //!   (1589 MB/s, 285 k IOPS) and EBS io2 volume (1 GB/s, 64 k IOPS) are in
 //!   [`profiles`].
-//! - [`file`] — a registry of simulated files (snapshot memory files,
+//! - [`file`](mod@file) — a registry of simulated files (snapshot memory files,
 //!   working-set files, loading-set files) placed on devices.
 //! - [`readahead`] — a Linux-style per-stream readahead window model
 //!   (initial window, doubling on sequential access, reset on random),

@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny rustdoc warnings)"
+# A broken or ambiguous intra-doc link, such as one left pointing at a
+# renamed or deleted function, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> faasnap-lint: determinism & architecture rules (deep)"
 # Fails on any diagnostic; the final lines report the unwrap-budget and
 # panic-path ratchets (call sites used vs. the caps in faasnap-lint).

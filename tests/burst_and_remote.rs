@@ -135,7 +135,7 @@ fn burst_correctness_every_vm_completes_identically() {
         outs.push(spec);
     }
     p.host_mut().drop_caches();
-    let results = faasnap::runtime::run_invocations(p.host_mut(), outs);
+    let results = faasnap::runtime::run(p.host_mut(), outs).unwrap();
     let sum = results[0].final_memory.checksum();
     for r in &results {
         assert_eq!(r.final_memory.checksum(), sum);

@@ -14,10 +14,10 @@
 //! 3. **Determinism** — the same seed produces the same injection
 //!    schedule, retry trace, and metrics artifacts, byte for byte.
 
-use faasnap::runtime::MmDelaySpec;
+use faasnap::runtime::{InvocationOutcome, MmDelaySpec};
 use faasnap::strategy::{FaasnapConfig, RestoreStrategy};
 use faasnap::{FaultReport, RestoreError, RetrySite};
-use faasnap_daemon::platform::{InvokeError, Platform};
+use faasnap_daemon::platform::{BurstKind, InvokeError, Platform};
 use faasnap_obs::Metrics;
 use sim_core::time::SimDuration;
 use sim_storage::faults::{FaultPlan, FaultProfile, FaultRule, InjectedFaultKind};
@@ -352,7 +352,7 @@ fn mm_delay_injection_shifts_timing_never_bytes() {
         spec.mm_delay = delay;
         let host = p.host_mut();
         host.drop_caches();
-        faasnap::runtime::try_run_invocation(host, spec).unwrap()
+        faasnap::runtime::run(host, vec![spec]).unwrap().remove(0)
     };
     let clean = run(None);
     let delayed = MmDelaySpec {
@@ -637,4 +637,135 @@ fn exhausted_retries_fail_the_whole_fork_closed_and_deterministically() {
         format!("{err:?}")
     };
     assert_eq!(run(), run(), "fork failure is not deterministic");
+}
+
+#[test]
+fn exhausted_retries_fail_a_burst_closed_instead_of_panicking() {
+    let mut p = recorded_platform("json", 0xFA17);
+    let f = faas_workloads::by_name("json").unwrap();
+    let mut plan = FaultPlan::new(3);
+    plan.push_rule(FaultRule::any(InjectedFaultKind::ReadError, u64::MAX));
+    p.inject_storage_faults(plan);
+    let err = p
+        .burst(
+            "json",
+            "t",
+            &f.input_b(),
+            RestoreStrategy::Vanilla,
+            3,
+            BurstKind::SameSnapshot,
+        )
+        .expect_err("every read failing forever must fail the burst");
+    assert!(
+        err.contains("read retries exhausted"),
+        "unexpected burst error: {err}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Retry-policy pins: one fail-forever plan per read site, plus the exact
+// retry trace of a bounded schedule across every strategy
+// ---------------------------------------------------------------------
+
+/// Invokes json under `strategy` with every read of `kind` failing
+/// forever.
+fn invoke_failing_forever(
+    kind: IoKind,
+    strategy: RestoreStrategy,
+) -> Result<InvocationOutcome, InvokeError> {
+    let mut p = recorded_platform("json", 0xFA17);
+    let f = faas_workloads::by_name("json").unwrap();
+    let mut plan = FaultPlan::new(1);
+    plan.push_rule(FaultRule::on_kind(
+        kind,
+        InjectedFaultKind::ReadError,
+        u64::MAX,
+    ));
+    p.inject_storage_faults(plan);
+    p.try_invoke("json", "t", &f.input_b(), strategy)
+}
+
+/// The site and attempt count of a restore that must fail closed.
+fn exhausted(result: Result<InvocationOutcome, InvokeError>) -> (RetrySite, u32) {
+    match result {
+        Err(InvokeError::Restore(RestoreError::ReadRetriesExhausted {
+            site, attempts, ..
+        })) => (site, attempts),
+        Err(other) => panic!("expected ReadRetriesExhausted, got {other:?}"),
+        Ok(out) => panic!("expected a failed restore, got {:?}", out.report.faults),
+    }
+}
+
+#[test]
+fn guest_fault_reads_fail_closed_after_four_attempts() {
+    let result = invoke_failing_forever(IoKind::FaultRead, RestoreStrategy::Vanilla);
+    assert_eq!(exhausted(result), (RetrySite::GuestFault, 4));
+}
+
+#[test]
+fn reap_miss_reads_fail_closed_after_three_attempts() {
+    let result = invoke_failing_forever(IoKind::ReapMiss, RestoreStrategy::Reap);
+    assert_eq!(exhausted(result), (RetrySite::ReapMiss, 3));
+}
+
+#[test]
+fn loader_reads_degrade_after_two_retries() {
+    let out = invoke_failing_forever(IoKind::LoaderPrefetch, RestoreStrategy::faasnap()).unwrap();
+    assert!(out.report.degraded);
+    assert_eq!(out.report.faults.loader_retries, 2);
+}
+
+#[test]
+fn reap_fetch_degrades_after_two_retries() {
+    let out = invoke_failing_forever(IoKind::ReapFetch, RestoreStrategy::Reap).unwrap();
+    assert!(out.report.degraded);
+    assert_eq!(out.report.faults.reap_retries, 2);
+    assert_eq!(out.report.fetch_pages, 0);
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn retry_traces_under_bounded_faults_are_pinned() {
+    // Every retry's site, file, page, attempt and instant, and every
+    // run's total backoff, for all strategies under one bounded
+    // schedule: a change to any site's retry policy shows up here.
+    let mut p = recorded_platform("json", 0xFA17);
+    let f = faas_workloads::by_name("json").unwrap();
+    let mut retries = 0;
+    let mut words = Vec::new();
+    for s in all_strategies() {
+        p.inject_storage_faults(bounded_plan(0xD1FF));
+        let faults = p
+            .invoke("json", "t", &f.input_b(), s)
+            .unwrap()
+            .report
+            .faults;
+        p.clear_storage_faults();
+        retries += faults.retry_trace.len();
+        for r in &faults.retry_trace {
+            words.extend([
+                r.site as u64,
+                r.file.0,
+                r.page,
+                u64::from(r.attempt),
+                r.at_ns,
+            ]);
+        }
+        words.push(faults.backoff_wait.as_nanos());
+    }
+    assert_eq!(
+        (retries, fnv1a(words)),
+        (23, 2_558_010_268_008_236_772),
+        "retry traces drifted"
+    );
 }

@@ -189,7 +189,9 @@ fn degraded_restore_falls_back_to_vanilla() {
         dev,
     );
     spec.mem_file = mem_file;
-    let out = faasnap::runtime::run_invocation(&mut host, spec);
+    let out = faasnap::runtime::run(&mut host, vec![spec])
+        .unwrap()
+        .remove(0);
     assert!(out.report.degraded, "missing artifacts must flag degraded");
     assert!(
         out.report.major_faults > 0,
