@@ -20,10 +20,11 @@
 //! | `tbl_merge`          | §4.6           | [`figures::tbl_merge`] |
 //! | `fig_cluster`        | fleet SLOs     | [`figures::fig_cluster`] |
 //! | `fig_fork`           | branching      | [`figures::fig_fork`] |
-//! | `micro`              | (criterion)    | library microbenchmarks |
 //!
 //! Drivers accept an [`Effort`] so smoke tests can run the same code
-//! cheaply; bench targets use [`Effort::Full`].
+//! cheaply; bench targets use [`Effort::Full`]. The targets report the
+//! modeled system's simulated time; the simulator's own speed is the
+//! repository benchmark's (`benchmark/`, via `scripts/trajectory.py`).
 
 #![forbid(unsafe_code)]
 pub mod figures;

@@ -89,18 +89,6 @@ pub fn run_once(
         .unwrap_or_else(|e| panic!("invoke {name}: {e}"))
 }
 
-/// Mean total time in milliseconds over `reps` runs.
-pub fn mean_total_ms(
-    p: &mut Platform,
-    name: &str,
-    label: &str,
-    input: &Input,
-    strategy: RestoreStrategy,
-    reps: u32,
-) -> f64 {
-    measure_total(p, name, label, input, strategy, reps).mean()
-}
-
 /// Formats an [`InvocationReport`] one-liner for debugging output.
 pub fn report_line(r: &InvocationReport) -> String {
     format!(

@@ -19,7 +19,7 @@
 //!                  [--snapshot-budget <bytes>] [--dedup on|off] [--chunk-bytes <bytes>]
 //!                  [--fault-prob 0.02] [--fault-retry-ms 3] [--degrade-prob 0.25] [--degrade-ms 25]
 //!                  [--slo-latency-ms 1000] [--slo-burn 2.0]
-//!                  [--smoke] [--mega] [--repeat <n>] [--branch]
+//!                  [--smoke] [--mega] [--branch]
 //!                  [--metrics-out <file>] [--trace-out <file>]
 //!                  [--profile-out <file>] [--self-profile-out <file>]
 //! faasnapd lint [--root <dir>] [--deep] [--json]
@@ -39,12 +39,10 @@
 //! repository's golden tests pin byte-for-byte. `cluster --mega` runs
 //! the fixed trace-scale [`ClusterConfig::mega`] fleet (≥10⁶
 //! invocations, 1000 hosts, no calibration) and emits only the fleet
-//! aggregates. `--repeat <n>` reruns the identical fleet n times in
-//! one process — asserting byte-identical metrics — so benchmarks can
-//! divide wall time by n and factor out the process-startup floor.
-//! Every subcommand exits with status 2 on a flag it does not read, and
-//! `cluster` also on `--hosts/--tenants/--rate/--skew/--horizon` next to
-//! `--smoke` or `--mega`, whose fleets fix those values.
+//! aggregates. Every subcommand exits with status 2 on a flag it does
+//! not read, and `cluster` also on
+//! `--hosts/--tenants/--rate/--skew/--horizon` next to `--smoke` or
+//! `--mega`, whose fleets fix those values.
 //!
 //! The fleet runs a burn-rate SLO monitor (latency + cold-start error
 //! budgets, long/short windows) on every invocation; it is silent on
@@ -182,7 +180,6 @@ const CLUSTER_FLAGS: &[&str] = &[
     "slo-burn",
     "smoke",
     "mega",
-    "repeat",
     "branch",
     "metrics-out",
     "trace-out",
@@ -519,13 +516,6 @@ fn cmd_cluster(args: &Args) {
     if smoke && mega {
         die("--smoke and --mega are mutually exclusive");
     }
-    // In-process repetition for microbenchmarks: run the identical
-    // fleet K times (asserting byte-identical metrics) so per-run wall
-    // time can be measured without the process startup floor.
-    let repeat: u32 = args.num("repeat", "1");
-    if repeat == 0 {
-        die("--repeat must be at least 1");
-    }
     // Store-aware registry knobs. The defaults match HostConfig's, so
     // the smoke fleet stays golden-pinned when no flag is passed.
     let dedup = match args.flag("dedup", "on").as_str() {
@@ -645,19 +635,7 @@ fn cmd_cluster(args: &Args) {
             cfg.workload.tenants.len(),
             cfg.horizon
         );
-        let mut m = run_cluster(&cfg);
-        if repeat > 1 {
-            // Deterministic by construction; the assert makes a
-            // nondeterminism regression fail the benchmark loudly
-            // instead of averaging it away.
-            let first = m.to_json().to_string_pretty();
-            for _ in 1..repeat {
-                m = run_cluster(&cfg);
-                if m.to_json().to_string_pretty() != first {
-                    die("--repeat runs diverged: fleet sim is nondeterministic");
-                }
-            }
-        }
+        let m = run_cluster(&cfg);
         p99_by_policy.push((policy.label().to_string(), m.p(99.0)));
         let mut run = m.to_json();
         if mega {

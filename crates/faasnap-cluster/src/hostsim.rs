@@ -85,15 +85,6 @@ impl ServiceTimes {
         }
     }
 
-    /// The latencies as the policy layer's [`ModeLatencies`].
-    pub fn mode_latencies(&self) -> ModeLatencies {
-        ModeLatencies {
-            warm: self.warm,
-            snapshot: self.snap_cold,
-            cold: self.cold,
-        }
-    }
-
     /// Latency for a serving mode.
     pub fn latency(&self, mode: ServeMode) -> SimDuration {
         match mode {
@@ -455,13 +446,6 @@ impl HostSim {
                 .counter_inc("fleet_shed_total", &[("host", &self.host_label)]);
             Admission::Shed
         }
-    }
-
-    /// Records a shed decision made by the router (no admittable host).
-    pub fn note_shed(&mut self) {
-        self.shed += 1;
-        self.metrics
-            .counter_inc("fleet_shed_total", &[("host", &self.host_label)]);
     }
 
     /// Starts serving `tenant` (of snapshot `family`) in a free slot:

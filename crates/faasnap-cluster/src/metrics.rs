@@ -11,7 +11,7 @@
 
 use sim_core::json::Value;
 use sim_core::stats::Summary;
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimDuration;
 
 use crate::arrival::TenantId;
 use crate::hostsim::ServeMode;
@@ -322,11 +322,6 @@ impl FleetMetrics {
 /// documents readable).
 fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
-}
-
-/// A latency instant helper used by the fleet world.
-pub fn latency_between(arrived: SimTime, finished: SimTime) -> SimDuration {
-    finished.since(arrived)
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@ fn unknown_cluster_flags_exit_2() {
     assert_rejected(&["cluster", "--smoke", "--hostz", "4"], "--hostz");
     // Another subcommand's flag is unknown to `cluster` as well.
     assert_rejected(&["cluster", "--smoke", "--strategy", "reap"], "--strategy");
+    // A removed flag is unknown too, not silently ignored.
+    assert_rejected(&["cluster", "--smoke", "--repeat", "20"], "--repeat");
 }
 
 #[test]

@@ -151,11 +151,6 @@ impl Platform {
         self.host.selfprof = prof;
     }
 
-    /// The self-profile handle.
-    pub fn self_profile(&self) -> &SelfProfile {
-        &self.host.selfprof
-    }
-
     /// Arms deterministic storage fault injection on the primary device:
     /// later record/invoke calls run under `plan`'s schedule. The plan
     /// stays armed (and keeps consuming its injection budget) until

@@ -20,7 +20,7 @@
 //!
 //! | rule id | depth | what it flags |
 //! |---|---|---|
-//! | `no-wallclock` | shallow | `Instant::now` / `SystemTime` outside the criterion shim and the faasnap-obs self-profiler |
+//! | `no-wallclock` | shallow | `Instant::now` / `SystemTime` outside the faasnap-obs self-profiler |
 //! | `no-os-entropy` | shallow | `RandomState`, `thread_rng`-style OS randomness |
 //! | `no-threads` | shallow | `thread::spawn` / `thread::sleep` |
 //! | `no-unordered-iteration` | shallow | `HashMap` / `HashSet` (unspecified order) |

@@ -101,13 +101,12 @@ fn everywhere(_: &FileCtx) -> bool {
     true
 }
 
-/// Wall-clock is sanctioned in exactly two crates: the criterion shim
-/// (measures real benchmark iterations) and faasnap-obs, whose
+/// Wall-clock is sanctioned in exactly one crate: faasnap-obs, whose
 /// self-profiler reads a monotonic clock behind the off-by-default
 /// `wallclock` cargo feature and never feeds timing back into the
 /// simulation. Everything else must derive time from SimTime.
 fn wallclock_sanctioned(ctx: &FileCtx) -> bool {
-    ctx.crate_name != "criterion" && ctx.crate_name != "faasnap-obs"
+    ctx.crate_name != "faasnap-obs"
 }
 
 const TEXT_RULES: &[TextRule] = &[
@@ -335,17 +334,6 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }\n\
                    fn g() { let s = std::collections::hash_map::RandomState::new(); }\n";
         assert_eq!(rules_of(src), vec!["no-wallclock", "no-os-entropy"]);
-    }
-
-    #[test]
-    fn criterion_exempt_from_wallclock_only() {
-        let c = FileCtx {
-            path: "crates/criterion/src/lib.rs",
-            crate_name: "criterion",
-            is_harness: false,
-        };
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(lint_source(&c, src).diagnostics.is_empty());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   `no-env-read` rule) flag — wall-clock, OS entropy, thread spawns,
 //!   unordered `HashMap`/`HashSet` iteration, ambient env reads. A site
 //!   sanctioned by an `allow(rule-id, reason)` directive, or by a
-//!   crate-level carve-out (the criterion shim, the faasnap-obs
-//!   `wallclock`-feature self-profiler), seeds no taint: the allow is an
-//!   argued claim that nondeterminism never escapes.
+//!   crate-level carve-out (the faasnap-obs `wallclock`-feature
+//!   self-profiler), seeds no taint: the allow is an argued claim that
+//!   nondeterminism never escapes.
 //! * **Propagation** walks the reverse call graph from each source's
 //!   enclosing function. Every public, non-test function reached at
 //!   distance ≥ 1 is reported with its *shortest* source-to-caller

@@ -391,11 +391,6 @@ impl SnapshotStore {
         self.stats.snapshot()
     }
 
-    /// Number of resident snapshots.
-    pub fn resident_snapshots(&self) -> usize {
-        self.snapshots.len()
-    }
-
     /// Number of resident layers.
     pub fn resident_layers(&self) -> usize {
         self.layers.len()

@@ -264,12 +264,6 @@ impl<E> Scheduler<E> {
         self.len
     }
 
-    /// Total number of events ever scheduled, including the external
-    /// events [`Engine::run_merged`] delivered.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
     /// High-water mark of the pending-event queue.
     pub fn peak_pending(&self) -> u64 {
         self.peak_pending

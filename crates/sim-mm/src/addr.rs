@@ -78,11 +78,6 @@ impl PageRange {
         }
     }
 
-    /// Clamps this range to fit within `bounds`.
-    pub fn clamp_to(&self, bounds: &PageRange) -> PageRange {
-        self.intersect(bounds)
-    }
-
     /// Iterates over the pages in the range.
     pub fn iter(&self) -> impl Iterator<Item = PageNum> {
         self.start..self.end

@@ -211,14 +211,6 @@ impl FaultResolver {
         self.selfprof = selfprof;
     }
 
-    /// Overrides readahead window sizes (for sensitivity experiments).
-    pub fn with_readahead(mut self, initial: u64, max: u64) -> Self {
-        self.initial_ra_pages = initial;
-        self.max_ra_pages = max;
-        self.readahead.clear();
-        self
-    }
-
     /// The cost model in use.
     pub fn costs(&self) -> &FaultCosts {
         &self.costs

@@ -63,11 +63,6 @@ impl ChunkedFile {
         self.extents.insert(idx, extent);
     }
 
-    /// Number of mapped (non-hole) chunks.
-    pub fn mapped_chunks(&self) -> usize {
-        self.extents.len()
-    }
-
     /// True if no chunk is mapped (the whole file is zeros).
     pub fn is_empty(&self) -> bool {
         self.extents.is_empty()

@@ -51,14 +51,6 @@ impl InjectedFaultKind {
             InjectedFaultKind::Corruption => "corruption",
         }
     }
-
-    /// True if no request data is usable (the consumer must retry).
-    pub fn is_data_loss(self) -> bool {
-        matches!(
-            self,
-            InjectedFaultKind::ReadError | InjectedFaultKind::Corruption
-        )
-    }
 }
 
 /// The outcome of a fault decision for one request.

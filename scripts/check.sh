@@ -6,6 +6,9 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The gate must leave the tree as it found it: no step writes a tracked
+# file or an unignored one.
+TREE_BEFORE="$(git status --porcelain)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -22,14 +25,17 @@ echo "==> faasnap-lint: determinism & architecture rules (deep)"
 # Fails on any diagnostic; the final lines report the unwrap-budget and
 # panic-path ratchets (call sites used vs. the caps in faasnap-lint).
 # --deep adds the interprocedural passes: call-graph determinism taint,
-# env reads, float hazards, dead allows.
-cargo run --release -q -p faasnap-lint -- --deep
+# env reads, float hazards, dead allows. The 5 s budget is ~50x its
+# ~0.1 s run, so only an asymptotic slowdown of the analyzer trips it.
+cargo build --release -q -p faasnap-lint
+timeout 5 ./target/release/faasnap-lint --deep \
+    || { echo "faasnap-lint --deep failed or exceeded its 5 s budget"; exit 1; }
 
 echo "==> faasnap-lint: --json report matches tests/golden/lint_deep.json"
 # Pins the machine-readable report (budgets included) byte-for-byte, so
 # a budget bump or a new diagnostic is always a reviewed diff.
 LINT_TMP="$(mktemp)"
-cargo run --release -q -p faasnap-lint -- --deep --json > "$LINT_TMP"
+./target/release/faasnap-lint --deep --json > "$LINT_TMP"
 diff -u tests/golden/lint_deep.json "$LINT_TMP" \
     || { rm -f "$LINT_TMP"; echo "deep lint JSON drifted from tests/golden/lint_deep.json"; exit 1; }
 rm -f "$LINT_TMP"
@@ -60,15 +66,26 @@ trap 'rm -rf "$OBS_TMP"' EXIT
     --profile-out "$OBS_TMP/invoke_profile.folded" >/dev/null
 ./target/release/faasnapd cluster --smoke --policy snapshot-locality --seed 42 \
     --metrics-out "$OBS_TMP/cluster_metrics.prom" > "$OBS_TMP/cluster_fleet.json"
+# The dedup-off ablation: every chunk tenant-unique, so the same fleet
+# serves the same requests at dedup_ratio 1.0.
+./target/release/faasnapd cluster --smoke --policy snapshot-locality --seed 42 \
+    --dedup off > "$OBS_TMP/cluster_fleet_dedup_off.json"
 # Snapshot branching: the fixed fork_smoke fleet must branch the same
 # requests and save the same disk bytes on every machine.
 ./target/release/faasnapd cluster --smoke --branch --policy snapshot-locality --seed 42 \
     > "$OBS_TMP/fork_fleet.json"
 for artifact in invoke_trace.json invoke_metrics.prom invoke_profile.folded \
-    cluster_metrics.prom cluster_fleet.json fork_fleet.json; do
+    cluster_metrics.prom cluster_fleet.json cluster_fleet_dedup_off.json fork_fleet.json; do
     diff -u "tests/golden/$artifact" "$OBS_TMP/$artifact" \
         || { echo "CLI $artifact drifted from tests/golden/$artifact"; exit 1; }
 done
+
+echo "==> fork fan-out: 100 COW siblings of one snapshot in budget"
+# The benchmark's fanout workload forks 16 siblings; this keeps a
+# 100-sibling run in the gate. 60 s is ~50x its ~1 s run, so only an
+# asymptotic regression of the shared fault path trips it.
+timeout 60 ./target/release/faasnapd invoke json --fork 100 > /dev/null \
+    || { echo "invoke json --fork 100 failed or exceeded its 60 s budget"; exit 1; }
 
 echo "==> cluster_mega: >=10^6 invocations across >=1000 hosts in budget"
 # Trace-scale gate (ROADMAP item 2): the fixed mega fleet must finish
@@ -106,11 +123,19 @@ echo "==> repo benchmark self-test"
 # printed metric names and units equal BENCHMARK.json's.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> bench trajectory: regression-gate self-test, then compare"
-# The self-test proves a 2x injected slowdown trips the gate; the
-# compare then diffs this machine's run against the latest committed
-# BENCH_*.json and appends the new trajectory point.
-scripts/bench.sh --selftest
-scripts/bench.sh --compare
+echo "==> trajectory: performance-gate self-test, then compare"
+# The self-test proves on the committed point that the compare trips on
+# a 2x worse host metric, a changed digest or simulated metric, and a
+# failed operation, on every workload. The compare then runs each
+# workload once and checks it against the newest committed BENCH_*.json
+# (schema v3) with BENCHMARK.json's bounds. It writes nothing: only
+# `scripts/trajectory.py record` adds a trajectory point.
+python3 scripts/trajectory.py selftest
+python3 scripts/trajectory.py compare
 
+if [[ "$(git status --porcelain)" != "$TREE_BEFORE" ]]; then
+    echo "the gate changed the working tree:"
+    git status --short
+    exit 1
+fi
 echo "All checks passed."
