@@ -32,6 +32,8 @@ pub enum InvokeError {
     /// the VM; the disk's armed [`FaultPlan`] log still holds the
     /// realized injection schedule.
     Restore(RestoreError),
+    /// A fork asked for zero siblings: there is nothing to restore.
+    NoSiblings,
 }
 
 impl std::fmt::Display for InvokeError {
@@ -39,6 +41,7 @@ impl std::fmt::Display for InvokeError {
         match self {
             InvokeError::NotFound(s) => f.write_str(s),
             InvokeError::Restore(e) => write!(f, "{e}"),
+            InvokeError::NoSiblings => f.write_str("a fork needs at least one sibling"),
         }
     }
 }
@@ -277,7 +280,9 @@ impl Platform {
     /// same-snapshot burst taken to its logical end): all siblings share
     /// the frozen base image copy-on-write and the snapshot-keyed page
     /// state, so the working set is read from disk once for the whole
-    /// batch. `n = 1` is byte-identical to [`Platform::try_invoke`].
+    /// batch. `n = 1` is byte-identical to [`Platform::try_invoke`], and
+    /// `n = 0` fails with [`InvokeError::NoSiblings`] before touching the
+    /// host.
     pub fn try_fork(
         &mut self,
         name: &str,
@@ -286,7 +291,9 @@ impl Platform {
         strategy: RestoreStrategy,
         n: usize,
     ) -> Result<ForkOutcome, InvokeError> {
-        assert!(n >= 1, "a fork needs at least one sibling");
+        if n == 0 {
+            return Err(InvokeError::NoSiblings);
+        }
         let spec = self.prepare_restore(name, label, input, strategy)?;
         let tracer = self.host.tracer.clone();
         // A 1-way fork is an ordinary invocation and must trace as one.
@@ -389,7 +396,8 @@ impl Platform {
     /// [`BurstKind::SameSnapshot`] all VMs share the artifacts recorded
     /// under `label`; for [`BurstKind::DifferentSnapshots`] each VM `i`
     /// uses artifacts recorded under `label.i` (recording them on demand).
-    /// Each VM receives `input` with a distinct content seed.
+    /// Each VM receives `input` with a distinct content seed. A burst of
+    /// zero VMs fails before touching the host.
     pub fn burst(
         &mut self,
         name: &str,
@@ -399,7 +407,9 @@ impl Platform {
         parallelism: u32,
         kind: BurstKind,
     ) -> Result<Vec<InvocationOutcome>, String> {
-        assert!(parallelism > 0);
+        if parallelism == 0 {
+            return Err("a burst needs at least one VM".to_string());
+        }
         let mut specs = Vec::with_capacity(parallelism as usize);
         match kind {
             BurstKind::SameSnapshot => {
@@ -437,6 +447,7 @@ impl Platform {
 mod tests {
     use super::*;
     use sim_core::time::SimDuration;
+    use std::rc::Rc;
 
     fn platform() -> Platform {
         let mut p = Platform::new(DiskProfile::nvme_c5d(), 7);
@@ -597,6 +608,66 @@ mod tests {
         // The guest sees identical memory either way; only the physical
         // I/O pattern differs.
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn fork_and_burst_share_the_snapshot_image() {
+        // Every restored VM is a copy-on-write overlay over the
+        // snapshot's own image: no VM holds a copy, and once the
+        // outcomes drop no handle outlives them.
+        let mut p = platform();
+        let f = faas_workloads::by_name("hello-world").unwrap();
+        p.record("hello-world", "a", &f.input_a()).unwrap();
+        let image = p
+            .registry()
+            .artifacts("hello-world", "a")
+            .unwrap()
+            .snapshot
+            .restored_memory();
+        let handles = Rc::strong_count(&image);
+        let strategy = RestoreStrategy::faasnap();
+        let fork = p
+            .try_fork("hello-world", "a", &f.input_b(), strategy, 3)
+            .unwrap();
+        let burst = p
+            .burst(
+                "hello-world",
+                "a",
+                &f.input_b(),
+                strategy,
+                3,
+                BurstKind::SameSnapshot,
+            )
+            .unwrap();
+        for o in fork.outcomes.iter().chain(&burst) {
+            assert!(Rc::ptr_eq(o.final_memory.base(), &image));
+        }
+        assert_eq!(Rc::strong_count(&image), handles + 6);
+        drop((fork, burst));
+        assert_eq!(Rc::strong_count(&image), handles);
+    }
+
+    #[test]
+    fn zero_vm_fork_and_burst_fail_closed() {
+        let mut p = platform();
+        let f = faas_workloads::by_name("hello-world").unwrap();
+        p.record("hello-world", "a", &f.input_a()).unwrap();
+        let strategy = RestoreStrategy::faasnap();
+        let err = p
+            .try_fork("hello-world", "a", &f.input_b(), strategy, 0)
+            .unwrap_err();
+        assert_eq!(err, InvokeError::NoSiblings);
+        let err = p
+            .burst(
+                "hello-world",
+                "a",
+                &f.input_b(),
+                strategy,
+                0,
+                BurstKind::SameSnapshot,
+            )
+            .unwrap_err();
+        assert!(err.contains("at least one VM"), "{err}");
     }
 
     #[test]

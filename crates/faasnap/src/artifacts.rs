@@ -14,6 +14,8 @@
 //! snapshot (everyone), the grouped working set + loading-set file
 //! (FaaSnap), and the fault-order working-set file (REAP).
 
+use std::rc::Rc;
+
 use sim_storage::file::{DeviceId, FileId, FileKind};
 use sim_vm::snapshot::Snapshot;
 use sim_vm::trace::Trace;
@@ -46,20 +48,22 @@ impl Default for RecordOptions {
     }
 }
 
-/// Everything the record phase produces.
+/// Everything the record phase produces. The frozen parts (the snapshot
+/// image and the three page sets) are shared, so every spec built from
+/// the artifacts holds them by handle.
 #[derive(Clone, Debug)]
 pub struct SnapshotArtifacts {
     /// The warm snapshot (memory contents after the record invocation,
     /// with freed pages sanitized).
     pub snapshot: Snapshot,
     /// FaaSnap's grouped, mincore-recorded working set.
-    pub ws: WorkingSet,
+    pub ws: Rc<WorkingSet>,
     /// The loading set built from `ws` ∩ non-zero pages.
-    pub ls: LoadingSet,
+    pub ls: Rc<LoadingSet>,
     /// The compact loading-set file.
     pub ls_file: FileId,
     /// REAP's fault-order working set.
-    pub reap_ws: ReapWorkingSet,
+    pub reap_ws: Rc<ReapWorkingSet>,
     /// REAP's compact working-set file.
     pub reap_ws_file: FileId,
     /// Measurements of the record invocation itself.
@@ -68,20 +72,21 @@ pub struct SnapshotArtifacts {
 
 impl SnapshotArtifacts {
     /// Builds an [`InvocationSpec`] for a test-phase invocation of
-    /// `trace` under `strategy`, wiring in the right artifacts.
+    /// `trace` under `strategy`, wiring in the right artifacts. The spec
+    /// shares the snapshot image and page sets; it copies none of them.
     pub fn spec(&self, strategy: RestoreStrategy, trace: Trace) -> InvocationSpec {
-        // `InvocationSpec::new` scans the restored copy, which equals the
-        // snapshot's frozen memory, for the non-zero regions.
+        // `InvocationSpec::new` scans the snapshot's frozen memory for
+        // the non-zero regions.
         let mut spec = InvocationSpec::new(
             strategy,
             trace,
             self.snapshot.restored_memory(),
             self.snapshot.mem_file(),
         );
-        spec.ls = Some(self.ls.clone());
+        spec.ls = Some(Rc::clone(&self.ls));
         spec.ls_file = Some(self.ls_file);
-        spec.ws = Some(self.ws.clone());
-        spec.reap_ws = Some(self.reap_ws.clone());
+        spec.ws = Some(Rc::clone(&self.ws));
+        spec.reap_ws = Some(Rc::clone(&self.reap_ws));
         spec.reap_ws_file = Some(self.reap_ws_file);
         spec
     }
@@ -127,10 +132,11 @@ pub fn record_phase(
         what: "REAP working set",
     })?;
 
-    // Warm snapshot of the post-invocation state.
+    // Warm snapshot of the post-invocation state: the one place a VM's
+    // overlay is flattened into an image of its own.
     let snapshot = Snapshot::create(
         format!("{name}.warm"),
-        outcome.final_memory,
+        outcome.final_memory.materialize(),
         &mut host.fs,
         device,
     );
@@ -152,10 +158,10 @@ pub fn record_phase(
 
     Ok(SnapshotArtifacts {
         snapshot,
-        ws,
-        ls,
+        ws: Rc::new(ws),
+        ls: Rc::new(ls),
         ls_file,
-        reap_ws,
+        reap_ws: Rc::new(reap_ws),
         reap_ws_file,
         record_report: outcome.report,
     })

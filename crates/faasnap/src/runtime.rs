@@ -9,10 +9,16 @@
 //!
 //! Two fallible entry points drive it: [`run`] restores a batch of
 //! independent VMs (one invocation, or a §6.6 burst) and [`fork`]
-//! branches `n` copy-on-write siblings from one snapshot. A read that
-//! exhausts its retry budget fails the batch closed with a
-//! [`RestoreError`]; callers that cannot fail panic at their own call
-//! site.
+//! branches `n` siblings from one snapshot by running `n` clones of one
+//! spec through [`run`]. A read that exhausts its retry budget fails the
+//! batch closed with a [`RestoreError`]; callers that cannot fail panic
+//! at their own call site.
+//!
+//! Every VM's memory is a [`CowMemory`] over its spec's frozen image,
+//! which specs hold behind an `Rc` with the other restore artifacts:
+//! VMs restored from one snapshot share one image and keep only their
+//! own dirty pages, as Firecracker's `MAP_PRIVATE` mapping of the memory
+//! file does. Cloning a spec copies none of them.
 //!
 //! Every disk read issued while the engine runs — a guest fault's
 //! demand read, async readahead, a loader chunk, a REAP miss — is
@@ -53,7 +59,7 @@ use sim_storage::profiles::DiskProfile;
 use sim_vm::boot::BootModel;
 use sim_vm::guest_kernel::GuestKernel;
 use sim_vm::guest_memory::GuestMemory;
-use sim_vm::overlay::{CowMemory, GuestMem, VmMemory};
+use sim_vm::overlay::{CowMemory, GuestMem};
 use sim_vm::trace::Trace;
 use sim_vm::vcpu::{Step, Vcpu};
 
@@ -313,20 +319,21 @@ pub struct InvocationSpec {
     pub strategy: RestoreStrategy,
     /// The function's execution trace for this input.
     pub trace: Trace,
-    /// Guest memory contents at restore (the snapshot's frozen state).
-    pub memory: GuestMemory,
+    /// Guest memory contents at restore (the snapshot's frozen state),
+    /// shared by every VM restored from it.
+    pub memory: Rc<GuestMemory>,
     /// The snapshot memory file.
     pub mem_file: FileId,
     /// Non-zero regions of the memory file (from the post-record scan).
     pub nonzero_regions: Vec<PageRange>,
     /// The loading set (FaaSnap strategies).
-    pub ls: Option<LoadingSet>,
+    pub ls: Option<Rc<LoadingSet>>,
     /// The loading-set file (FaaSnap with `loading_set_file`).
     pub ls_file: Option<FileId>,
     /// The grouped working set (FaaSnap ablations, warm residency).
-    pub ws: Option<WorkingSet>,
+    pub ws: Option<Rc<WorkingSet>>,
     /// REAP's working set (REAP strategy).
-    pub reap_ws: Option<ReapWorkingSet>,
+    pub reap_ws: Option<Rc<ReapWorkingSet>>,
     /// REAP's compact working-set file.
     pub reap_ws_file: Option<FileId>,
     /// Enable freed-page sanitization in the guest kernel (record phase).
@@ -361,13 +368,15 @@ pub struct MmDelaySpec {
 }
 
 impl InvocationSpec {
-    /// A minimal spec for `strategy` over a bare snapshot.
+    /// A minimal spec for `strategy` over a bare snapshot. `memory` is an
+    /// owned image or a handle to a shared one.
     pub fn new(
         strategy: RestoreStrategy,
         trace: Trace,
-        memory: GuestMemory,
+        memory: impl Into<Rc<GuestMemory>>,
         mem_file: FileId,
     ) -> Self {
+        let memory = memory.into();
         let nonzero_regions = memory.nonzero_regions();
         InvocationSpec {
             strategy,
@@ -396,8 +405,9 @@ impl InvocationSpec {
 pub struct InvocationOutcome {
     /// Measurements.
     pub report: InvocationReport,
-    /// Guest memory at completion.
-    pub final_memory: GuestMemory,
+    /// Guest memory at completion: the VM's copy-on-write overlay over
+    /// the spec's image. [`CowMemory::materialize`] flattens it.
+    pub final_memory: CowMemory,
     /// Recorded working set (if `record`).
     pub ws: Option<WorkingSet>,
     /// Recorded REAP working set (if `record`).
@@ -498,14 +508,14 @@ enum Ev {
 
 struct VmRun {
     vcpu: Vcpu,
-    mem: VmMemory,
+    mem: CowMemory,
     kernel: GuestKernel,
     aspace: AddressSpace,
     pt: PageTable,
     uffd: UffdRegistry,
     resolver: FaultResolver,
     mem_file: FileId,
-    ls: Option<LoadingSet>,
+    ls: Option<Rc<LoadingSet>>,
     ls_file: Option<FileId>,
     loader_plan: LoaderPlan,
     loader_next: usize,
@@ -543,83 +553,6 @@ pub fn run(
     host: &mut Host,
     specs: Vec<InvocationSpec>,
 ) -> Result<Vec<InvocationOutcome>, RestoreError> {
-    Ok(run_specs(host, specs, None)?.0)
-}
-
-/// The result of an N-way fork: per-sibling outcomes plus sharing
-/// accounting for the whole batch.
-#[derive(Clone, Debug)]
-pub struct ForkOutcome {
-    /// Per-sibling invocation outcomes, in sibling order.
-    pub outcomes: Vec<InvocationOutcome>,
-    /// Disk pages transferred by the whole fork (all siblings, all I/O).
-    pub disk_read_pages: u64,
-    /// Non-zero pages of the shared base image (stored once for all
-    /// siblings).
-    pub shared_pages: u64,
-    /// Private copied-on-write pages, summed over all siblings.
-    pub private_pages: u64,
-}
-
-/// Branches `n` concurrent restores from one snapshot. Every sibling
-/// shares the frozen base image read-only (dirty pages copy on write
-/// into a private anonymous overlay) and the snapshot-keyed page state,
-/// so the working set is read from disk once for the whole batch instead
-/// of once per sibling. `n = 1` is byte-identical to [`run`] of the one
-/// spec: same seed draws, same event order, same trace, same metrics.
-pub fn fork(host: &mut Host, spec: InvocationSpec, n: usize) -> Result<ForkOutcome, RestoreError> {
-    assert!(n >= 1, "a fork needs at least one sibling");
-    let read_before: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
-    let base = Rc::new(spec.memory.clone());
-    // The fork span (and its metrics below) only exist for real forks:
-    // a 1-way fork stays indistinguishable from an independent restore.
-    let fork_ctx = if n > 1 {
-        let ctx = host
-            .tracer
-            .begin("fork", "vm", SimTime::ZERO, host.tracer.current_parent());
-        host.tracer.tag(ctx, "siblings", n as u64);
-        host.tracer.push_parent(ctx);
-        Some(ctx)
-    } else {
-        None
-    };
-    let specs: Vec<InvocationSpec> = (0..n).map(|_| spec.clone()).collect();
-    let result = run_specs(host, specs, Some(&base));
-    if let Some(ctx) = fork_ctx {
-        host.tracer.pop_parent();
-        let end = host.tracer.latest_end().unwrap_or(SimTime::ZERO);
-        host.tracer.end(ctx, end);
-    }
-    let (outcomes, private_pages) = result?;
-    let read_after: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
-    let disk_read_pages = read_after - read_before;
-    let shared_pages = base.nonzero_count();
-    if n > 1 {
-        host.metrics
-            .counter_add("faasnap_fork_siblings_total", &[], n as u64);
-        host.metrics
-            .counter_add("faasnap_fork_disk_read_pages_total", &[], disk_read_pages);
-        host.metrics
-            .counter_add("faasnap_fork_shared_pages_total", &[], shared_pages);
-        host.metrics
-            .counter_add("faasnap_fork_private_pages_total", &[], private_pages);
-    }
-    Ok(ForkOutcome {
-        outcomes,
-        disk_read_pages,
-        shared_pages,
-        private_pages,
-    })
-}
-
-/// Shared engine loop behind both entry points. With `fork_base`, every
-/// VM's memory is a copy-on-write overlay over that image; the second
-/// return value is the total private (copied) page count.
-fn run_specs(
-    host: &mut Host,
-    specs: Vec<InvocationSpec>,
-    fork_base: Option<&Rc<GuestMemory>>,
-) -> Result<(Vec<InvocationOutcome>, u64), RestoreError> {
     // Each run has its own clock starting at zero: device queues and the
     // in-flight registry (which hold absolute times) start idle.
     for disk in &mut host.disks {
@@ -632,7 +565,7 @@ fn run_specs(
 
     for (i, spec) in specs.into_iter().enumerate() {
         let seed = host.next_seed();
-        let (vm, setup_time) = prepare_vm(host, spec, seed, i, fork_base);
+        let (vm, setup_time) = prepare_vm(host, spec, seed, i);
         // The loader starts at request arrival; the vCPU after setup.
         if !vm.loader_plan.is_empty() {
             engine
@@ -666,7 +599,6 @@ fn run_specs(
     host.selfprof
         .max("engine/peak_pending", estats.peak_pending);
     let mut outcomes = Vec::with_capacity(vms.len());
-    let mut private_pages: u64 = 0;
     for mut vm in vms {
         if let Some(err) = vm.error.take() {
             return Err(err);
@@ -681,17 +613,81 @@ fn run_specs(
         vm.report.cache_pages = host.pages.resident_of(vm.mem_file)
             + vm.ls_file.map(|f| host.pages.resident_of(f)).unwrap_or(0);
         vm.report.faults.injected_mm_delays = vm.resolver.injected_delays();
-        if let VmMemory::Cow(c) = &vm.mem {
-            private_pages += c.private_pages();
-        }
         outcomes.push(InvocationOutcome {
             report: vm.report,
-            final_memory: vm.mem.into_guest_memory(),
+            final_memory: vm.mem,
             ws: vm.mincore_rec.map(|r| r.finish()),
             reap_ws: vm.uffd_track.map(|t| t.finish()),
         });
     }
-    Ok((outcomes, private_pages))
+    Ok(outcomes)
+}
+
+/// The result of an N-way fork: per-sibling outcomes plus sharing
+/// accounting for the whole batch.
+#[derive(Clone, Debug)]
+pub struct ForkOutcome {
+    /// Per-sibling invocation outcomes, in sibling order.
+    pub outcomes: Vec<InvocationOutcome>,
+    /// Disk pages transferred by the whole fork (all siblings, all I/O).
+    pub disk_read_pages: u64,
+    /// Non-zero pages of the shared base image (stored once for all
+    /// siblings).
+    pub shared_pages: u64,
+    /// Private copied-on-write pages, summed over all siblings.
+    pub private_pages: u64,
+}
+
+/// Branches `n` concurrent restores from one snapshot: [`run`] of `n`
+/// clones of `spec`. Every sibling maps the one frozen image
+/// copy-on-write and shares the snapshot-keyed page state, so the
+/// working set is read from disk once for the whole batch instead of
+/// once per sibling. On top of [`run`], a fork only opens its span and
+/// counts its sharing, and only when `n > 1`: `n = 1` is byte-identical
+/// to [`run`] of the one spec (same seed draws, event order, trace and
+/// metrics).
+pub fn fork(host: &mut Host, spec: InvocationSpec, n: usize) -> Result<ForkOutcome, RestoreError> {
+    let read_before: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
+    let shared_pages = spec.memory.nonzero_count();
+    let fork_ctx = if n > 1 {
+        let ctx = host
+            .tracer
+            .begin("fork", "vm", SimTime::ZERO, host.tracer.current_parent());
+        host.tracer.tag(ctx, "siblings", n as u64);
+        host.tracer.push_parent(ctx);
+        Some(ctx)
+    } else {
+        None
+    };
+    let result = run(host, vec![spec; n]);
+    if let Some(ctx) = fork_ctx {
+        host.tracer.pop_parent();
+        let end = host.tracer.latest_end().unwrap_or(SimTime::ZERO);
+        host.tracer.end(ctx, end);
+    }
+    let outcomes = result?;
+    let read_after: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
+    let disk_read_pages = read_after - read_before;
+    let private_pages = outcomes
+        .iter()
+        .map(|o| o.final_memory.private_pages())
+        .sum();
+    if n > 1 {
+        host.metrics
+            .counter_add("faasnap_fork_siblings_total", &[], n as u64);
+        host.metrics
+            .counter_add("faasnap_fork_disk_read_pages_total", &[], disk_read_pages);
+        host.metrics
+            .counter_add("faasnap_fork_shared_pages_total", &[], shared_pages);
+        host.metrics
+            .counter_add("faasnap_fork_private_pages_total", &[], private_pages);
+    }
+    Ok(ForkOutcome {
+        outcomes,
+        disk_read_pages,
+        shared_pages,
+        private_pages,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -703,7 +699,6 @@ fn prepare_vm(
     spec: InvocationSpec,
     seed: u64,
     idx: usize,
-    fork_base: Option<&Rc<GuestMemory>>,
 ) -> (VmRun, SimDuration) {
     let total_pages = spec.memory.total_pages();
     let mut aspace = AddressSpace::new();
@@ -865,15 +860,10 @@ fn prepare_vm(
         .complete("setup", "vm", SimTime::ZERO, setup, ctx_invocation);
     host.tracer.tag(ctx_setup, "mmap_calls", report.mmap_calls);
 
-    // A fork sibling maps the shared base copy-on-write; an ordinary
-    // restore owns its image outright.
-    let mem = match fork_base {
-        None => VmMemory::Flat(spec.memory),
-        Some(base) => VmMemory::Cow(CowMemory::new(base.clone())),
-    };
     let vm = VmRun {
         vcpu: Vcpu::new(spec.trace),
-        mem,
+        // The snapshot image mapped MAP_PRIVATE: shared, copied on write.
+        mem: CowMemory::new(spec.memory),
         kernel,
         aspace,
         pt,
@@ -920,7 +910,7 @@ fn setup_faasnap_mapping(
     // artifacts are absent, so this match only misses on caller bugs —
     // and then the safe fallback is the no-loading-set mapping.
     let empty = LoadingSet::default();
-    let (ls, ls_file) = match (spec.ls.as_ref(), spec.ls_file) {
+    let (ls, ls_file) = match (spec.ls.as_deref(), spec.ls_file) {
         (Some(ls), Some(ls_file)) if config.loading_set_file => (ls, ls_file),
         _ => (&empty, spec.mem_file),
     };
@@ -950,12 +940,12 @@ fn build_loader_plan(spec: &InvocationSpec, config: FaasnapConfig) -> LoaderPlan
         return LoaderPlan::default();
     }
     if config.loading_set_file {
-        return match (spec.ls.as_ref(), spec.ls_file) {
+        return match (spec.ls.as_deref(), spec.ls_file) {
             (Some(ls), Some(ls_file)) => LoaderPlan::from_loading_set(ls, ls_file),
             _ => LoaderPlan::default(),
         };
     }
-    let Some(ws) = spec.ws.as_ref() else {
+    let Some(ws) = spec.ws.as_deref() else {
         return LoaderPlan::default();
     };
     if config.per_region_mapping {
@@ -1877,9 +1867,9 @@ mod tests {
             mem,
             f,
         );
-        spec.ls = Some(ls);
+        spec.ls = Some(Rc::new(ls));
         spec.ls_file = Some(ls_file);
-        spec.ws = Some(ws);
+        spec.ws = Some(Rc::new(ws));
         let out = run_one(&mut host, spec);
         assert_eq!(
             out.report.anon_faults, 10,
@@ -1901,7 +1891,7 @@ mod tests {
         let ws_file = host.fs.create("tiny.ws", FileKind::WorkingSet, 100, dev);
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Reap, touch_trace(100, 150, false), mem, f);
-        spec.reap_ws = Some(reap_ws);
+        spec.reap_ws = Some(Rc::new(reap_ws));
         spec.reap_ws_file = Some(ws_file);
         let out = run_one(&mut host, spec);
         assert_eq!(out.report.host_pte_faults, 100, "prefetched pages");
@@ -2035,9 +2025,9 @@ mod tests {
             mem,
             f,
         );
-        spec.ls = Some(ls);
+        spec.ls = Some(Rc::new(ls));
         spec.ls_file = Some(ls_file);
-        spec.ws = Some(ws);
+        spec.ws = Some(Rc::new(ws));
         let out = run_one(&mut host, spec);
         assert_eq!(
             out.report.major_faults, 0,
@@ -2132,7 +2122,7 @@ mod tests {
         for p in 100..300 {
             shifted.write(p + 1, p * 13 + 1);
         }
-        spec.memory = shifted;
+        spec.memory = Rc::new(shifted);
         // Now page 101 is non-zero in "RAM" but the file offset check
         // can't catch that (offsets still align); instead the anonymous
         // check fires on a page the mapper thinks is zero. Use FaaSnap
@@ -2146,9 +2136,9 @@ mod tests {
         let ls_file = host
             .fs
             .create("x.ls", FileKind::LoadingSet, 1.max(ls.file_pages()), dev);
-        spec.ls = Some(ls);
+        spec.ls = Some(Rc::new(ls));
         spec.ls_file = Some(ls_file);
-        spec.ws = Some(ws);
+        spec.ws = Some(Rc::new(ws));
         // Touching page 300 (zero per stale scan, non-zero in RAM).
         spec.trace = touch_trace(300, 1, false);
         run_one(&mut host, spec);

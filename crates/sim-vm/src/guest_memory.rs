@@ -115,13 +115,33 @@ impl GuestMemory {
     /// A stable checksum over all contents, for fast equality assertions
     /// in correctness tests.
     pub fn checksum(&self) -> u64 {
-        let mut acc: u64 = 0xcbf29ce484222325;
-        for (&p, &token) in &self.contents {
-            acc ^= p.wrapping_mul(0x100000001b3);
-            acc = acc.rotate_left(17) ^ token;
-        }
-        acc
+        checksum_of(self.contents.iter().map(|(&p, &token)| (p, token)))
     }
+
+    /// Memory of `total_pages` pages holding the non-zero `(page, token)`
+    /// pairs of `pages`, which arrive in ascending page order.
+    pub(crate) fn from_sorted_pages(
+        total_pages: u64,
+        pages: impl Iterator<Item = (PageNum, u64)>,
+    ) -> Self {
+        GuestMemory {
+            total_pages,
+            contents: pages.collect(),
+        }
+    }
+}
+
+/// The checksum of a memory image given as its non-zero `(page, token)`
+/// pairs in ascending page order: [`GuestMemory::checksum`] and the
+/// read-through checksum of a copy-on-write overlay share this fold, so
+/// equal images checksum equal however they are stored.
+pub(crate) fn checksum_of(pages: impl Iterator<Item = (PageNum, u64)>) -> u64 {
+    let mut acc: u64 = 0xcbf29ce484222325;
+    for (p, token) in pages {
+        acc ^= p.wrapping_mul(0x100000001b3);
+        acc = acc.rotate_left(17) ^ token;
+    }
+    acc
 }
 
 #[cfg(test)]

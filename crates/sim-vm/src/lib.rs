@@ -12,9 +12,9 @@
 //!   copy-on-write zero-fill of anonymous pages and the modified kernel's
 //!   *page sanitization* of freed pages (§4.5: `free_pages_prepare` zeroes
 //!   freed pages during the record phase, at ~10 % guest overhead).
-//! - [`overlay`] — copy-on-write guest-memory overlays: N fork siblings
-//!   share one frozen base image and keep private dirty pages, the memory
-//!   substrate of snapshot branching.
+//! - [`overlay`] — copy-on-write guest-memory overlays: every VM restored
+//!   from a snapshot shares its one frozen image and keeps only its own
+//!   dirty pages, the memory substrate of bursts and snapshot branching.
 //! - [`trace`] — the memory-access trace language functions are expressed
 //!   in (compute, strided range touches, frees).
 //! - [`vcpu`] — a passive interpreter that yields one step at a time so
@@ -34,7 +34,7 @@ pub mod vcpu;
 
 pub use guest_kernel::GuestKernel;
 pub use guest_memory::GuestMemory;
-pub use overlay::{CowMemory, GuestMem, VmMemory};
+pub use overlay::{CowMemory, GuestMem};
 pub use snapshot::Snapshot;
 pub use trace::{Trace, TraceOp};
 pub use vcpu::{Step, Vcpu};

@@ -1,23 +1,24 @@
-//! Copy-on-write guest-memory overlays for snapshot branching.
+//! Copy-on-write guest memory: every restored VM's view of its snapshot.
 //!
-//! When N siblings are forked from one snapshot, they share the frozen
-//! base image read-only and each accumulates *private* dirty pages in an
-//! anonymous overlay — the MAP_PRIVATE semantics of mapping the snapshot
-//! memory file. [`CowMemory`] models exactly that: reads fall through to
-//! the shared base unless the sibling has written the page; writes always
-//! land in the overlay and are invisible to every other sibling.
+//! Firecracker maps the snapshot memory file `MAP_PRIVATE`, so every VM
+//! restored from one snapshot — an ordinary restore, one VM of a
+//! same-snapshot burst, or a fork sibling — reads the one frozen image
+//! and copies a page only when it writes it. [`CowMemory`] models exactly
+//! that: reads fall through to the shared base unless the VM has written
+//! the page; writes always land in the VM's private overlay and are
+//! invisible to every other VM. Restoring N VMs from one snapshot
+//! therefore costs N overlays, never N copies of the image.
 //!
-//! [`VmMemory`] lets the runtime hold either a flat, exclusively-owned
-//! [`GuestMemory`] (the ordinary restore path) or a COW overlay (a fork
-//! sibling) behind one type, and [`GuestMem`] is the access surface the
-//! guest kernel and vCPU need, implemented by all three.
+//! [`GuestMem`] is the access surface the guest kernel and vCPU need,
+//! implemented by the flat [`GuestMemory`] and by the overlay.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 use std::rc::Rc;
 
 use sim_mm::addr::{PageNum, PageRange};
 
-use crate::guest_memory::GuestMemory;
+use crate::guest_memory::{checksum_of, GuestMemory};
 
 /// The guest-physical access surface: what the vCPU and guest kernel
 /// need from memory, regardless of whether it is flat or overlaid.
@@ -50,8 +51,10 @@ impl GuestMem for GuestMemory {
 /// Copy-on-write view over a shared base image.
 ///
 /// The overlay maps dirtied pages to their private tokens; a stored 0 is
-/// a tombstone (the sibling zeroed a page that is non-zero in the base).
-/// Pages absent from the overlay read through to the base.
+/// a tombstone (the VM zeroed the page). Pages absent from the overlay
+/// read through to the base. Equality, [`CowMemory::checksum`] and
+/// [`CowMemory::materialize`] all see the logical image, whatever mix of
+/// base and overlay holds it.
 #[derive(Clone, Debug)]
 pub struct CowMemory {
     base: Rc<GuestMemory>,
@@ -67,7 +70,7 @@ impl CowMemory {
         }
     }
 
-    /// The shared base image (for fork trees and sharing assertions).
+    /// The shared base image (for sharing assertions).
     pub fn base(&self) -> &Rc<GuestMemory> {
         &self.base
     }
@@ -77,26 +80,73 @@ impl CowMemory {
         self.overlay.len() as u64
     }
 
-    /// Branches a child overlay: shares this overlay's base and starts
-    /// from a copy of the current private pages (fork-of-fork).
-    pub fn fork(&self) -> CowMemory {
-        self.clone()
-    }
-
-    /// Flattens the overlay onto a copy of the base, producing the
-    /// sibling's logical memory image.
-    pub fn materialize(&self) -> GuestMemory {
-        let mut mem = (*self.base).clone();
-        for (&p, &token) in &self.overlay {
-            mem.write(p, token);
+    /// The logical image's non-zero pages in ascending order: one walk
+    /// that merges the base with the overlay, allocating nothing.
+    fn pages(&self) -> Pages<'_> {
+        Pages {
+            base: self.base.tokens().iter().peekable(),
+            overlay: self.overlay.iter().peekable(),
         }
-        mem
     }
 
-    /// Checksum of the materialized image (matches
-    /// [`GuestMemory::checksum`] of an equal flat memory).
+    /// Flattens the overlay onto the base into an owned image: the VM's
+    /// logical memory, for callers that keep it (the record phase
+    /// snapshots it).
+    pub fn materialize(&self) -> GuestMemory {
+        GuestMemory::from_sorted_pages(self.total_pages(), self.pages())
+    }
+
+    /// Checksum of the logical image, read through to the base (equals
+    /// [`GuestMemory::checksum`] of the materialized image).
     pub fn checksum(&self) -> u64 {
-        self.materialize().checksum()
+        checksum_of(self.pages())
+    }
+}
+
+/// Two overlays are equal when their logical images are, however their
+/// pages split between base and overlay.
+impl PartialEq for CowMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.total_pages() == other.total_pages() && self.pages().eq(other.pages())
+    }
+}
+
+impl Eq for CowMemory {}
+
+/// Iterator behind [`CowMemory::pages`]: an ordered merge in which an
+/// overlay entry shadows the base page and a zero token hides it.
+struct Pages<'a> {
+    base: Peekable<btree_map::Iter<'a, PageNum, u64>>,
+    overlay: Peekable<btree_map::Iter<'a, PageNum, u64>>,
+}
+
+impl Iterator for Pages<'_> {
+    type Item = (PageNum, u64);
+
+    fn next(&mut self) -> Option<(PageNum, u64)> {
+        loop {
+            let base = self.base.peek().map(|&(&p, _)| p);
+            let overlay = self.overlay.peek().map(|&(&p, _)| p);
+            let from_base = match (base, overlay) {
+                (None, None) => return None,
+                (Some(b), Some(o)) => {
+                    if b == o {
+                        self.base.next(); // shadowed by the private copy
+                    }
+                    b < o
+                }
+                (b, _) => b.is_some(),
+            };
+            let next = if from_base {
+                self.base.next()
+            } else {
+                self.overlay.next()
+            };
+            match next {
+                Some((&page, &token)) if token != 0 => return Some((page, token)),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -124,61 +174,6 @@ impl GuestMem for CowMemory {
                 // restores the shared zero page (the guest returned it).
                 self.overlay.remove(&p);
             }
-        }
-    }
-}
-
-/// A VM's memory: flat and exclusively owned (ordinary restore) or a COW
-/// overlay over a shared base (fork sibling).
-#[derive(Clone, Debug)]
-pub enum VmMemory {
-    /// Exclusively owned flat image.
-    Flat(GuestMemory),
-    /// Copy-on-write overlay over a base shared with sibling VMs.
-    Cow(CowMemory),
-}
-
-impl VmMemory {
-    /// Private pages: everything for a flat image, overlay size for COW.
-    pub fn private_pages(&self) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.nonzero_count(),
-            VmMemory::Cow(c) => c.private_pages(),
-        }
-    }
-
-    /// Flattens into an owned [`GuestMemory`] (identity for `Flat`).
-    pub fn into_guest_memory(self) -> GuestMemory {
-        match self {
-            VmMemory::Flat(m) => m,
-            VmMemory::Cow(c) => c.materialize(),
-        }
-    }
-}
-
-impl GuestMem for VmMemory {
-    fn total_pages(&self) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.total_pages(),
-            VmMemory::Cow(c) => c.total_pages(),
-        }
-    }
-    fn read(&self, page: PageNum) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.read(page),
-            VmMemory::Cow(c) => c.read(page),
-        }
-    }
-    fn write(&mut self, page: PageNum, token: u64) {
-        match self {
-            VmMemory::Flat(m) => m.write(page, token),
-            VmMemory::Cow(c) => c.write(page, token),
-        }
-    }
-    fn zero_range(&mut self, range: PageRange) {
-        match self {
-            VmMemory::Flat(m) => m.zero_range(range),
-            VmMemory::Cow(c) => c.zero_range(range),
         }
     }
 }
@@ -244,11 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn fork_of_fork_shares_one_base() {
+    fn cloned_overlays_share_one_base() {
         let b = base();
         let mut parent = CowMemory::new(b.clone());
         parent.write(12, 7);
-        let mut child = parent.fork();
+        let mut child = parent.clone();
         child.write(13, 8);
         assert_eq!(child.read(12), 7, "inherits parent's private page");
         assert_eq!(parent.read(13), 1300, "parent blind to child writes");
@@ -257,13 +252,25 @@ mod tests {
     }
 
     #[test]
-    fn vm_memory_round_trips() {
-        let flat = VmMemory::Flat((*base()).clone());
-        let cow = VmMemory::Cow(CowMemory::new(base()));
-        assert_eq!(
-            flat.into_guest_memory().checksum(),
-            cow.into_guest_memory().checksum()
-        );
+    fn equality_and_checksum_see_the_logical_image() {
+        let b = base();
+        let fresh = CowMemory::new(b.clone());
+        // Private pages that restate the base: a write of the base's own
+        // token, and a zero written over a zero base page.
+        let mut restated = CowMemory::new(b.clone());
+        restated.write(12, 1200);
+        restated.write(3, 0);
+        assert_eq!(restated.private_pages(), 2);
+        assert_eq!(restated, fresh);
+        assert_eq!(restated.checksum(), b.checksum());
+        // A tombstone over a non-zero base page hides it.
+        let mut zeroed = CowMemory::new(b.clone());
+        zeroed.write(12, 0);
+        assert_ne!(zeroed, fresh);
+        let mut flat = (*b).clone();
+        flat.write(12, 0);
+        assert_eq!(zeroed.checksum(), flat.checksum());
+        assert_eq!(zeroed.materialize(), flat);
     }
 
     #[test]

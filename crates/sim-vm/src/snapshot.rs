@@ -4,7 +4,8 @@
 //! state of the VM like virtual devices and CPU registers as well as a
 //! memory file, which is the copy of the entire guest physical memory"
 //! (§2.4). In the simulation the memory file's logical contents are the
-//! frozen [`GuestMemory`] token map; the storage layer tracks the file's
+//! frozen [`GuestMemory`] token map, held once behind an `Rc` and shared
+//! by every VM restored from it; the storage layer tracks the file's
 //! identity and size so reads are charged correctly.
 //!
 //! Restore correctness invariant (asserted by integration tests): under
@@ -12,6 +13,8 @@
 //! `snapshot.memory().read(p)` until the guest itself overwrites it. The
 //! strategies differ only in *when and how* bytes move, never in what the
 //! guest sees.
+
+use std::rc::Rc;
 
 use sim_mm::addr::PageRange;
 use sim_storage::device::{IoKind, IoRequest};
@@ -25,7 +28,7 @@ pub struct Snapshot {
     name: String,
     mem_file: FileId,
     state_file: FileId,
-    memory: GuestMemory,
+    memory: Rc<GuestMemory>,
 }
 
 impl Snapshot {
@@ -73,7 +76,7 @@ impl Snapshot {
             name,
             mem_file,
             state_file,
-            memory,
+            memory: Rc::new(memory),
         }
     }
 
@@ -108,10 +111,12 @@ impl Snapshot {
         self.memory.nonzero_regions()
     }
 
-    /// A fresh guest-memory instance a restored VM starts from (logical
-    /// copy of the frozen contents).
-    pub fn restored_memory(&self) -> GuestMemory {
-        self.memory.clone()
+    /// The image a restored VM starts from: a shared handle to the frozen
+    /// contents, never a copy. Firecracker maps the memory file
+    /// `MAP_PRIVATE`, so a restored VM reads this image and copies a page
+    /// only when it writes it (a [`crate::overlay::CowMemory`] over it).
+    pub fn restored_memory(&self) -> Rc<GuestMemory> {
+        Rc::clone(&self.memory)
     }
 
     /// The I/O requests that write this snapshot out (record phase).
@@ -134,6 +139,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::{CowMemory, GuestMem};
 
     fn snap() -> (Snapshot, SimFs) {
         let mut fs = SimFs::new();
@@ -156,9 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn restored_memory_is_exact_copy() {
+    fn restored_memory_is_the_shared_image() {
         let (s, _) = snap();
         let restored = s.restored_memory();
+        assert!(std::ptr::eq(&*restored, s.memory()), "shared, not copied");
         assert_eq!(restored.checksum(), s.memory().checksum());
         assert_eq!(restored.read(150), 451);
         assert_eq!(restored.read(500), 7);
@@ -168,11 +175,15 @@ mod tests {
     #[test]
     fn restored_copies_are_independent() {
         let (s, _) = snap();
-        let mut a = s.restored_memory();
+        let mut a = CowMemory::new(s.restored_memory());
         a.write(0, 99);
+        a.write(150, 0);
+        assert_eq!((a.read(0), a.read(150)), (99, 0));
         assert_eq!(s.memory().read(0), 0, "snapshot is immutable");
-        let b = s.restored_memory();
+        assert_eq!(s.memory().read(150), 451, "snapshot is immutable");
+        let b = CowMemory::new(s.restored_memory());
         assert_eq!(b.read(0), 0);
+        assert_eq!(b.checksum(), s.memory().checksum());
     }
 
     #[test]

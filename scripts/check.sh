@@ -74,18 +74,20 @@ trap 'rm -rf "$OBS_TMP"' EXIT
 # requests and save the same disk bytes on every machine.
 ./target/release/faasnapd cluster --smoke --branch --policy snapshot-locality --seed 42 \
     > "$OBS_TMP/fork_fleet.json"
+# Fork fan-out: 100 COW siblings of one snapshot, in budget and pinned.
+# The benchmark's fanout workload forks 16 siblings; this keeps a
+# 100-sibling run in the gate. 60 s is ~85x its ~0.7 s run, so only an
+# asymptotic regression of the shared fault path trips it.
+timeout 60 ./target/release/faasnapd invoke json --fork 100 \
+    --metrics-out "$OBS_TMP/fork_json_x100_metrics.prom" \
+    --profile-out "$OBS_TMP/fork_json_x100_profile.folded" > /dev/null \
+    || { echo "invoke json --fork 100 failed or exceeded its 60 s budget"; exit 1; }
 for artifact in invoke_trace.json invoke_metrics.prom invoke_profile.folded \
-    cluster_metrics.prom cluster_fleet.json cluster_fleet_dedup_off.json fork_fleet.json; do
+    cluster_metrics.prom cluster_fleet.json cluster_fleet_dedup_off.json fork_fleet.json \
+    fork_json_x100_metrics.prom fork_json_x100_profile.folded; do
     diff -u "tests/golden/$artifact" "$OBS_TMP/$artifact" \
         || { echo "CLI $artifact drifted from tests/golden/$artifact"; exit 1; }
 done
-
-echo "==> fork fan-out: 100 COW siblings of one snapshot in budget"
-# The benchmark's fanout workload forks 16 siblings; this keeps a
-# 100-sibling run in the gate. 60 s is ~50x its ~1 s run, so only an
-# asymptotic regression of the shared fault path trips it.
-timeout 60 ./target/release/faasnapd invoke json --fork 100 > /dev/null \
-    || { echo "invoke json --fork 100 failed or exceeded its 60 s budget"; exit 1; }
 
 echo "==> cluster_mega: >=10^6 invocations across >=1000 hosts in budget"
 # Trace-scale gate (ROADMAP item 2): the fixed mega fleet must finish

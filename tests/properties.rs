@@ -277,14 +277,20 @@ proptest! {
     /// replay model of its own write history (the inherited prefix
     /// included), while the base never changes. Because each sibling's
     /// materialized image equals its own replay, no sibling ever
-    /// observes another's dirty write.
+    /// observes another's dirty write. The read-through views agree with
+    /// the materialized image: each sibling's `checksum()` equals its
+    /// materialized checksum, and two siblings compare equal exactly
+    /// when their materialized images do.
     #[test]
     fn cow_fork_tree_conservation_and_isolation(
         base_pages in arb_pages(200),
         // Each op: (kind, sibling selector, page, token). kind % 4 == 0
-        // forks a new sibling off an existing one; anything else writes
-        // the token (0 = zero the page) to a page of an existing
-        // sibling.
+        // forks a new sibling off an existing one (a clone of its
+        // overlay) while fewer than 8 exist. Otherwise it changes a page
+        // of an existing sibling: kind 1 zeroes it through `zero_range`,
+        // kind 2 writes token 0 through `write`, kind 3 writes back the
+        // base's own token, and anything else writes the token (0
+        // included).
         ops in proptest::collection::vec((0u8..8, 0usize..64, 0u64..200, 0u64..40), 1..160)
     ) {
         let mut base = GuestMemory::new(200);
@@ -295,15 +301,16 @@ proptest! {
         let base = std::rc::Rc::new(base);
         let mut siblings = vec![CowMemory::new(base.clone())];
         // The replay model: per sibling, the overlay an independent
-        // bookkeeper expects — write inserts, zero over a non-zero base
-        // page tombstones, zero over a zero base page erases.
+        // bookkeeper expects — a write inserts its token (a zero token
+        // too), a zero over a non-zero base page tombstones, a zero over
+        // a zero base page erases.
         let mut model: Vec<std::collections::BTreeMap<u64, u64>> = vec![Default::default()];
         for (kind, sel, page, token) in ops {
             let i = sel % siblings.len();
             if kind % 4 == 0 && siblings.len() < 8 {
-                siblings.push(siblings[i].fork());
+                siblings.push(siblings[i].clone());
                 model.push(model[i].clone());
-            } else if token == 0 {
+            } else if kind == 1 {
                 siblings[i].zero_range(PageRange::new(page, page + 1));
                 if base.is_nonzero(page) {
                     model[i].insert(page, 0);
@@ -311,6 +318,11 @@ proptest! {
                     model[i].remove(&page);
                 }
             } else {
+                let token = match kind {
+                    2 => 0,
+                    3 => base.read(page),
+                    _ => token,
+                };
                 siblings[i].write(page, token);
                 model[i].insert(page, token);
             }
@@ -330,18 +342,34 @@ proptest! {
         let expected_private: u64 = model.iter().map(|m| m.len() as u64).sum();
         prop_assert_eq!(private, expected_private);
         prop_assert_eq!(shared + private, base.nonzero_count() + expected_private);
-        // Isolation: each sibling materializes to its own replay.
-        for (i, (sib, m)) in siblings.iter().zip(&model).enumerate() {
+        // Isolation: each sibling materializes to its own replay, and its
+        // read-through checksum equals the materialized image's.
+        let images: Vec<GuestMemory> = siblings.iter().map(CowMemory::materialize).collect();
+        for (i, ((sib, m), image)) in siblings.iter().zip(&model).zip(&images).enumerate() {
             let mut expect = (*base).clone();
             for (&p, &t) in m {
                 expect.write(p, t);
             }
             prop_assert_eq!(
-                sib.materialize(),
-                expect,
+                image,
+                &expect,
                 "sibling {} observed foreign dirty state",
                 i
             );
+            prop_assert_eq!(sib.checksum(), image.checksum(), "sibling {} checksum", i);
+        }
+        // Logical equality: overlays compare equal exactly when their
+        // images do, however their pages split between base and overlay.
+        for (i, a) in siblings.iter().enumerate() {
+            for (j, b) in siblings.iter().enumerate() {
+                prop_assert_eq!(
+                    a == b,
+                    images[i] == images[j],
+                    "siblings {} and {}",
+                    i,
+                    j
+                );
+            }
         }
     }
 }
