@@ -192,32 +192,40 @@ impl Function {
     }
 
     /// Builds the post-boot guest memory (the clean snapshot's contents):
-    /// kernel, the entire runtime pool, and stable data are non-zero.
+    /// kernel, the entire runtime pool, and stable data are non-zero. One
+    /// bulk build from four write sources, applied in this order.
     pub fn boot_image(&self) -> GuestMemory {
-        let mut mem = GuestMemory::new(self.layout.total_pages);
         let kseed = self.params.seed ^ KERNEL_TOKEN_SEED;
-        for page in self.layout.kernel.iter() {
-            mem.write(page, Trace::token_for(kseed, page));
-        }
+        let kernel = self
+            .layout
+            .kernel
+            .iter()
+            .map(|page| (page, Trace::token_for(kseed, page)));
         let rseed = self.params.seed.wrapping_mul(0x9E37) | 1;
-        for &page in self.pool.pages() {
-            mem.write(page, Trace::token_for(rseed, page));
-        }
+        let pool = self
+            .pool
+            .pages()
+            .iter()
+            .map(|&page| (page, Trace::token_for(rseed, page)));
         // Filler between nearby clusters: data of the same shared objects
         // that this function never touches (cold set, non-zero).
         let fseed = self.params.seed.wrapping_mul(0xF111) | 1;
-        for gap in self.pool.small_gaps(16) {
-            for page in gap.iter() {
-                mem.write(page, Trace::token_for(fseed, page));
-            }
-        }
-        if self.params.stable_pages > 0 {
-            let sseed = self.params.seed.wrapping_mul(0xC2B2) | 1;
-            for page in self.layout.stable_extent(self.params.stable_pages).iter() {
-                mem.write(page, Trace::token_for(sseed, page));
-            }
-        }
-        mem
+        let filler = self
+            .pool
+            .small_gaps(16)
+            .into_iter()
+            .flat_map(|gap| gap.iter())
+            .map(|page| (page, Trace::token_for(fseed, page)));
+        let sseed = self.params.seed.wrapping_mul(0xC2B2) | 1;
+        let stable = self
+            .layout
+            .stable_extent(self.params.stable_pages)
+            .iter()
+            .map(|page| (page, Trace::token_for(sseed, page)));
+        GuestMemory::from_writes(
+            self.layout.total_pages,
+            kernel.chain(pool).chain(filler).chain(stable),
+        )
     }
 
     /// Builds the invocation trace for `input`.

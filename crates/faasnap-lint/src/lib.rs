@@ -73,10 +73,11 @@ pub const UNWRAP_BUDGET: u64 = 16;
 /// asserts and the fork orchestration paths); lowered to 358 when the
 /// `mincore` scan stopped indexing its `seen` bitmap per page, to 351
 /// when the JSON parser stopped slicing and the fleet stopped indexing
-/// an arrival table per event, and to 343 when the restore runtime lost
+/// an arrival table per event, to 343 when the restore runtime lost
 /// its panicking entry-point wrappers and its per-site copies of the
-/// read-completion and retry code.
-pub const PANIC_PATH_BUDGET: u64 = 343;
+/// read-completion and retry code, and to 342 when the snapshot store
+/// stopped indexing a chunk's token vector per page.
+pub const PANIC_PATH_BUDGET: u64 = 342;
 
 /// One source file handed to the deep linter. [`lint_sources_deep`]
 /// takes these directly so tests and fixtures can lint in-memory

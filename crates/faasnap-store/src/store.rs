@@ -144,13 +144,18 @@ impl SnapshotStore {
         &self.cfg
     }
 
-    /// Builds the full-length token vector for chunk `idx` from a sparse
-    /// nonzero page→token map.
-    fn chunk_tokens(&self, pages: &BTreeMap<u64, u64>, idx: u64) -> Vec<u64> {
+    /// Builds the full-length token vector for chunk `idx` from sparse
+    /// `(page, token)` pairs in ascending page order, found by binary
+    /// search.
+    fn chunk_tokens(&self, pages: &[(u64, u64)], idx: u64) -> Vec<u64> {
         let start = idx * self.cfg.chunk_pages;
+        let end = start + self.cfg.chunk_pages;
+        let (_, from) = pages.split_at(pages.partition_point(|&(p, _)| p < start));
         let mut tokens = vec![0u64; self.cfg.chunk_pages as usize];
-        for (&page, &token) in pages.range(start..start + self.cfg.chunk_pages) {
-            tokens[(page - start) as usize] = token;
+        for &(page, token) in from.iter().take_while(|&&(p, _)| p < end) {
+            if let Some(slot) = tokens.get_mut((page - start) as usize) {
+                *slot = token;
+            }
         }
         tokens
     }
@@ -162,12 +167,18 @@ impl SnapshotStore {
         id
     }
 
-    /// Records a base layer from a sparse nonzero page→token map: the
-    /// chunks containing at least one nonzero page, content-hashed and
-    /// refcounted. All-zero chunks are omitted (absent resolves to zeros).
-    pub fn put_base_layer(&mut self, pages: &BTreeMap<u64, u64>) -> LayerId {
+    /// Records a base layer from sparse `(page, token)` pairs in strictly
+    /// ascending page order: the chunks containing at least one listed
+    /// page, content-hashed and refcounted. All-zero chunks are omitted
+    /// (absent resolves to zeros). Unordered or repeated pages are an
+    /// [`StoreError::Invariant`] and record nothing.
+    pub fn put_base_layer(&mut self, pages: &[(u64, u64)]) -> Result<LayerId, StoreError> {
+        check_ascending(pages)?;
         let mut layer = Layer::new(LayerKind::Base);
-        let mut idxs: Vec<u64> = pages.keys().map(|p| p / self.cfg.chunk_pages).collect();
+        let mut idxs: Vec<u64> = pages
+            .iter()
+            .map(|(p, _)| p / self.cfg.chunk_pages)
+            .collect();
         idxs.dedup();
         for idx in idxs {
             let tokens = self.chunk_tokens(pages, idx);
@@ -176,23 +187,26 @@ impl SnapshotStore {
             StatCells::bump(&self.stats.chunks_inserted, 1);
             StatCells::bump(&self.stats.map_ops, 2);
         }
-        self.alloc_layer(layer)
+        Ok(self.alloc_layer(layer))
     }
 
-    /// Records a delta layer: the chunks of `pages` that differ from what
+    /// Records a delta layer: the chunks of `pages` (sparse `(page, token)`
+    /// pairs in strictly ascending page order) that differ from what
     /// `parent` resolves to. All-zero chunks that overwrite nonzero parent
     /// chunks are kept as explicit tombstones. Requires the parent's
     /// chunks to carry content (data inserts, not accounting-only refs).
+    /// Unordered or repeated pages are an [`StoreError::Invariant`].
     pub fn put_delta_layer(
         &mut self,
         parent: SnapshotId,
-        pages: &BTreeMap<u64, u64>,
+        pages: &[(u64, u64)],
     ) -> Result<LayerId, StoreError> {
+        check_ascending(pages)?;
         let parent_map = self.resolve(parent)?;
         // Union of chunk indices present in either image.
         let mut idxs: Vec<u64> = pages
-            .keys()
-            .map(|p| p / self.cfg.chunk_pages)
+            .iter()
+            .map(|(p, _)| p / self.cfg.chunk_pages)
             .chain(parent_map.keys().copied())
             .collect();
         idxs.sort_unstable();
@@ -340,11 +354,11 @@ impl SnapshotStore {
         Ok(None)
     }
 
-    /// Materializes a snapshot into a sparse nonzero page→token map by
-    /// reading chunk content through the layer chain. Requires content
-    /// chunks (fails on accounting-only entries).
-    pub fn materialize(&self, id: SnapshotId) -> Result<BTreeMap<u64, u64>, StoreError> {
-        let mut pages = BTreeMap::new();
+    /// Materializes a snapshot into its nonzero `(page, token)` pairs in
+    /// ascending page order, by reading chunk content through the layer
+    /// chain. Requires content chunks (fails on accounting-only entries).
+    pub fn materialize(&self, id: SnapshotId) -> Result<Vec<(u64, u64)>, StoreError> {
+        let mut pages = Vec::new();
         for (idx, hash) in self.resolve(id)? {
             let tokens = self.chunks.data(hash).ok_or_else(|| {
                 StoreError::Invariant(format!(
@@ -354,9 +368,10 @@ impl SnapshotStore {
             })?;
             StatCells::bump(&self.stats.bytes_materialized, self.cfg.chunk_bytes());
             let start = idx * self.cfg.chunk_pages;
+            // Chunks resolve in ascending index order, so pages ascend.
             for (off, &token) in tokens.iter().enumerate() {
                 if token != 0 {
-                    pages.insert(start + off as u64, token);
+                    pages.push((start + off as u64, token));
                 }
             }
         }
@@ -456,6 +471,20 @@ impl SnapshotStore {
     }
 }
 
+/// Rejects page lists that are not strictly ascending: chunking finds
+/// each chunk's pages by binary search, which an unordered list would
+/// silently mis-chunk.
+fn check_ascending(pages: &[(u64, u64)]) -> Result<(), StoreError> {
+    let mut pairs = pages.iter().zip(pages.iter().skip(1));
+    match pairs.find(|(a, b)| a.0 >= b.0) {
+        Some((a, b)) => Err(StoreError::Invariant(format!(
+            "pages not strictly ascending: page {} before page {}",
+            a.0, b.0
+        ))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,15 +493,11 @@ mod tests {
         StoreConfig { chunk_pages: 4 }
     }
 
-    fn pages(pairs: &[(u64, u64)]) -> BTreeMap<u64, u64> {
-        pairs.iter().copied().collect()
-    }
-
     #[test]
     fn base_skips_zero_chunks() {
         let mut s = SnapshotStore::new(cfg4());
         // Pages 0..4 = chunk 0, 8..12 = chunk 2; chunk 1 untouched.
-        let base = s.put_base_layer(&pages(&[(1, 10), (9, 20)]));
+        let base = s.put_base_layer(&[(1, 10), (9, 20)]).expect("base");
         let snap = s
             .compose_snapshot(&[base], 12 * PAGE_SIZE)
             .expect("compose");
@@ -485,10 +510,10 @@ mod tests {
     #[test]
     fn delta_stores_only_dirty_chunks_and_tombstones() {
         let mut s = SnapshotStore::new(cfg4());
-        let base = s.put_base_layer(&pages(&[(1, 10), (9, 20)]));
+        let base = s.put_base_layer(&[(1, 10), (9, 20)]).expect("base");
         let parent = s.compose_snapshot(&[base], 0).expect("compose");
         // New image: chunk 0 unchanged, chunk 1 newly dirty, chunk 2 wiped.
-        let img = pages(&[(1, 10), (5, 30)]);
+        let img = vec![(1, 10), (5, 30)];
         let delta = s.put_delta_layer(parent, &img).expect("delta");
         let child = s.compose_snapshot(&[base, delta], 0).expect("compose");
         let dl = s.resolve(child).expect("resolve");
@@ -501,12 +526,41 @@ mod tests {
     }
 
     #[test]
+    fn base_layer_rejects_unordered_pages() {
+        let mut s = SnapshotStore::new(cfg4());
+        for bad in [&[(9, 20), (1, 10)][..], &[(1, 10), (1, 11)]] {
+            assert!(matches!(
+                s.put_base_layer(bad),
+                Err(StoreError::Invariant(_))
+            ));
+        }
+        assert_eq!(s.resident_layers(), 0, "nothing recorded");
+        assert_eq!(s.resident_chunks(), 0);
+    }
+
+    #[test]
+    fn delta_layer_rejects_unordered_pages() {
+        let mut s = SnapshotStore::new(cfg4());
+        let base = s.put_base_layer(&[(1, 10)]).expect("base");
+        let parent = s.compose_snapshot(&[base], 0).expect("compose");
+        for bad in [&[(5, 30), (1, 10)][..], &[(5, 30), (5, 31)]] {
+            assert!(matches!(
+                s.put_delta_layer(parent, bad),
+                Err(StoreError::Invariant(_))
+            ));
+        }
+        assert_eq!(s.resident_layers(), 1, "nothing recorded");
+        assert_eq!(s.resident_chunks(), 1);
+        s.debug_validate().expect("valid");
+    }
+
+    #[test]
     fn dropping_child_keeps_shared_base() {
         let mut s = SnapshotStore::new(cfg4());
-        let base = s.put_base_layer(&pages(&[(0, 1), (4, 2), (8, 3)]));
+        let base = s.put_base_layer(&[(0, 1), (4, 2), (8, 3)]).expect("base");
         let parent = s.compose_snapshot(&[base], 100).expect("compose");
         let delta = s
-            .put_delta_layer(parent, &pages(&[(0, 1), (4, 9), (8, 3)]))
+            .put_delta_layer(parent, &[(0, 1), (4, 9), (8, 3)])
             .expect("delta");
         let child = s.compose_snapshot(&[base, delta], 100).expect("compose");
         assert_eq!(s.logical_bytes(), 200);
@@ -517,7 +571,7 @@ mod tests {
         // Base chunks all survive — parent still resolves.
         assert_eq!(
             s.materialize(parent).expect("mat"),
-            pages(&[(0, 1), (4, 2), (8, 3)])
+            vec![(0, 1), (4, 2), (8, 3)]
         );
         let freed = s.drop_snapshot(parent).expect("drop");
         assert_eq!(freed, vec![base]);
@@ -529,7 +583,7 @@ mod tests {
     #[test]
     fn dedup_ratio_counts_shared_bytes_once() {
         let mut s = SnapshotStore::new(cfg4());
-        let base = s.put_base_layer(&pages(&[(0, 7)]));
+        let base = s.put_base_layer(&[(0, 7)]).expect("base");
         let a = s.compose_snapshot(&[base], 1000).expect("a");
         let _b = s.compose_snapshot(&[base], 1000).expect("b");
         assert_eq!(s.logical_bytes(), 2000);
@@ -568,7 +622,7 @@ mod tests {
         let s = SnapshotStore::new(cfg4());
         assert_eq!(s.dedup_ratio(), 0.0);
         let mut s = SnapshotStore::new(cfg4());
-        let base = s.put_base_layer(&pages(&[(0, 7)]));
+        let base = s.put_base_layer(&[(0, 7)]).expect("base");
         let snap = s.compose_snapshot(&[base], 1000).expect("compose");
         assert!(s.dedup_ratio() > 0.0);
         s.drop_snapshot(snap).expect("drop");
@@ -579,7 +633,7 @@ mod tests {
     fn stats_count_store_work() {
         let mut s = SnapshotStore::new(cfg4());
         assert_eq!(s.stats(), StoreStats::default());
-        let base = s.put_base_layer(&pages(&[(1, 10), (9, 20)]));
+        let base = s.put_base_layer(&[(1, 10), (9, 20)]).expect("base");
         let snap = s.compose_snapshot(&[base], 0).expect("compose");
         assert_eq!(s.stats().chunks_inserted, 2);
         s.resolve(snap).expect("resolve");

@@ -111,7 +111,7 @@ impl FamilyStore {
                 (id, true)
             }
             None => {
-                let layer = self.store.put_base_layer(memory.tokens());
+                let layer = self.store.put_base_layer(memory.tokens())?;
                 let anchor = self.store.compose_snapshot(&[layer], 0)?;
                 let id = self.store.compose_snapshot(&[layer], logical_bytes)?;
                 self.bases.insert(
@@ -184,11 +184,8 @@ impl FamilyStore {
             .named
             .get(name)
             .ok_or_else(|| StoreError::Invariant(format!("unknown snapshot name {name}")))?;
-        let mut memory = GuestMemory::new(entry.total_pages);
-        for (page, token) in self.store.materialize(entry.id)? {
-            memory.write(page, token);
-        }
-        Ok(memory)
+        let pages = self.store.materialize(entry.id)?;
+        Ok(GuestMemory::from_writes(entry.total_pages, pages))
     }
 
     /// Renders snapshot `name` as a logical→physical extent map over the

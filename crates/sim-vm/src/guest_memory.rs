@@ -8,18 +8,32 @@
 //! §4.5: "When an invocation is finished, FaaSnap scans the guest memory
 //! file, merging consecutive zero pages into zero regions and non-zero
 //! pages into non-zero regions."
-
-use std::collections::BTreeMap;
+//!
+//! An image stores its non-zero pages only, as one vector of
+//! `(page, token)` pairs sorted by page. Images are frozen once built: a
+//! snapshot's image is shared by every VM restored from it, and each VM
+//! writes into its own copy-on-write overlay
+//! ([`crate::overlay::CowMemory`]). So an image is built in bulk
+//! ([`GuestMemory::from_writes`], or a sorted merge when an overlay is
+//! materialized) and then only read: lookups binary-search the vector and
+//! scans walk it.
 
 use sim_mm::addr::{PageNum, PageRange};
 
-/// Sparse token map of guest physical memory.
+/// Guest physical memory: the sorted vector of its non-zero pages.
+///
+/// The single-page mutators ([`GuestMemory::write`], [`GuestMemory::zero`],
+/// [`GuestMemory::zero_range`]) shift the vector's tail, O(n) per call,
+/// so no hot path may build or edit an image page by page: build it with
+/// [`GuestMemory::from_writes`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GuestMemory {
     total_pages: u64,
-    /// Non-zero pages only; absence means the page is zero. Ordered, so
+    /// Non-zero pages only, as `(page, token)` sorted by page, with no
+    /// duplicate pages and no zero tokens; absence means the page is
+    /// zero. The form is canonical, so the derived equality is exact and
     /// every scan below iterates in address order by construction.
-    contents: BTreeMap<PageNum, u64>,
+    contents: Vec<(PageNum, u64)>,
 }
 
 impl GuestMemory {
@@ -27,13 +41,48 @@ impl GuestMemory {
     pub fn new(total_pages: u64) -> Self {
         GuestMemory {
             total_pages,
-            contents: BTreeMap::new(),
+            contents: Vec::new(),
+        }
+    }
+
+    /// Memory of `total_pages` pages after applying `writes` in order to
+    /// all-zero memory: the last write to a page wins, and a zero token
+    /// makes the page zero. Equal to [`GuestMemory::new`] followed by one
+    /// [`GuestMemory::write`] per item, in O(n log n) instead of O(n²).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a written page is out of range.
+    pub fn from_writes(total_pages: u64, writes: impl IntoIterator<Item = (PageNum, u64)>) -> Self {
+        let mut contents: Vec<(PageNum, u64)> = writes.into_iter().collect();
+        // Stable, so writes to one page keep their order.
+        contents.sort_by_key(|&(page, _)| page);
+        if let Some(&(last, _)) = contents.last() {
+            assert!(last < total_pages, "page {last} out of range");
+        }
+        contents.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1;
+            }
+            same
+        });
+        contents.retain(|&(_, token)| token != 0);
+        GuestMemory {
+            total_pages,
+            contents,
         }
     }
 
     /// Total guest physical pages.
     pub fn total_pages(&self) -> u64 {
         self.total_pages
+    }
+
+    /// Where `page` sits in `contents`: `Ok` at its index if non-zero,
+    /// `Err` at the index it would be inserted at if zero.
+    fn slot(&self, page: PageNum) -> Result<usize, usize> {
+        self.contents.binary_search_by_key(&page, |&(p, _)| p)
     }
 
     /// Reads a page's content token (0 for zero pages).
@@ -43,34 +92,51 @@ impl GuestMemory {
     /// Panics if `page` is out of range.
     pub fn read(&self, page: PageNum) -> u64 {
         assert!(page < self.total_pages, "page {page} out of range");
-        self.contents.get(&page).copied().unwrap_or(0)
+        self.slot(page)
+            .ok()
+            .and_then(|i| self.contents.get(i))
+            .map_or(0, |&(_, token)| token)
     }
 
     /// Writes a content token; a zero token makes the page a zero page.
+    /// O(n): for tests and one-off edits, never for building an image
+    /// (use [`GuestMemory::from_writes`]).
     pub fn write(&mut self, page: PageNum, token: u64) {
         assert!(page < self.total_pages, "page {page} out of range");
-        if token == 0 {
-            self.contents.remove(&page);
-        } else {
-            self.contents.insert(page, token);
+        match self.slot(page) {
+            Ok(i) if token == 0 => {
+                self.contents.remove(i);
+            }
+            Ok(i) => {
+                if let Some(entry) = self.contents.get_mut(i) {
+                    entry.1 = token;
+                }
+            }
+            Err(i) if token != 0 => self.contents.insert(i, (page, token)),
+            Err(_) => {}
         }
     }
 
-    /// Zeroes a page (page sanitization of a freed page).
+    /// Zeroes a page (page sanitization of a freed page). O(n), like
+    /// [`GuestMemory::write`].
     pub fn zero(&mut self, page: PageNum) {
-        self.contents.remove(&page);
+        if let Ok(i) = self.slot(page) {
+            self.contents.remove(i);
+        }
     }
 
-    /// Zeroes every page in `range`.
+    /// Zeroes every page in `range`: one drain of the range's entries,
+    /// O(n) per call.
     pub fn zero_range(&mut self, range: PageRange) {
-        for p in range.iter() {
-            self.contents.remove(&p);
-        }
+        let lo = self.contents.partition_point(|&(p, _)| p < range.start);
+        let (_, tail) = self.contents.split_at(lo);
+        let len = tail.partition_point(|&(p, _)| p < range.end);
+        self.contents.drain(lo..lo + len);
     }
 
     /// True if the page holds non-zero data.
     pub fn is_nonzero(&self, page: PageNum) -> bool {
-        self.contents.contains_key(&page)
+        self.slot(page).is_ok()
     }
 
     /// Number of non-zero pages.
@@ -78,14 +144,14 @@ impl GuestMemory {
         self.contents.len() as u64
     }
 
-    /// Non-zero page numbers in ascending order (the map is ordered).
+    /// Non-zero page numbers in ascending order.
     pub fn nonzero_pages(&self) -> Vec<PageNum> {
-        self.contents.keys().copied().collect()
+        self.contents.iter().map(|&(p, _)| p).collect()
     }
 
-    /// The sparse page → token map itself (non-zero pages only), for
+    /// The non-zero `(page, token)` pairs in ascending page order, for
     /// consumers that chunk or hash contents without copying.
-    pub fn tokens(&self) -> &BTreeMap<PageNum, u64> {
+    pub fn tokens(&self) -> &[(PageNum, u64)] {
         &self.contents
     }
 
@@ -93,7 +159,7 @@ impl GuestMemory {
     /// in address order. The complement (within `[0, total_pages)`) is the
     /// set of zero regions.
     pub fn nonzero_regions(&self) -> Vec<PageRange> {
-        sim_mm::addr::runs_from_pages(self.nonzero_pages())
+        sim_mm::addr::runs_from_pages(self.contents.iter().map(|&(p, _)| p))
     }
 
     /// Zero regions: the complement of [`Self::nonzero_regions`].
@@ -115,18 +181,18 @@ impl GuestMemory {
     /// A stable checksum over all contents, for fast equality assertions
     /// in correctness tests.
     pub fn checksum(&self) -> u64 {
-        checksum_of(self.contents.iter().map(|(&p, &token)| (p, token)))
+        checksum_of(self.contents.iter().copied())
     }
 
-    /// Memory of `total_pages` pages holding the non-zero `(page, token)`
-    /// pairs of `pages`, which arrive in ascending page order.
-    pub(crate) fn from_sorted_pages(
-        total_pages: u64,
-        pages: impl Iterator<Item = (PageNum, u64)>,
-    ) -> Self {
+    /// Memory of `total_pages` pages whose non-zero `(page, token)` pairs
+    /// are `contents`, already in the canonical form: ascending pages, no
+    /// duplicates, no zero tokens.
+    pub(crate) fn from_sorted_pages(total_pages: u64, contents: Vec<(PageNum, u64)>) -> Self {
+        debug_assert!(contents.is_sorted_by(|a, b| a.0 < b.0), "pages must ascend");
+        debug_assert!(contents.iter().all(|&(_, token)| token != 0));
         GuestMemory {
             total_pages,
-            contents: pages.collect(),
+            contents,
         }
     }
 }
@@ -229,6 +295,23 @@ mod tests {
         assert_ne!(a.checksum(), b.checksum());
         b.write(6, 0);
         assert_eq!(a.checksum(), b.checksum());
+    }
+
+    #[test]
+    fn from_writes_applies_writes_in_order() {
+        let m = GuestMemory::from_writes(100, [(7, 1), (3, 2), (7, 0), (5, 4), (3, 9)]);
+        assert_eq!(m.tokens(), &[(3, 9), (5, 4)]);
+        let mut replay = GuestMemory::new(100);
+        for (p, t) in [(7, 1), (3, 2), (7, 0), (5, 4), (3, 9)] {
+            replay.write(p, t);
+        }
+        assert_eq!(m, replay);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_writes_rejects_out_of_range_pages() {
+        GuestMemory::from_writes(10, [(3, 1), (10, 0)]);
     }
 
     #[test]

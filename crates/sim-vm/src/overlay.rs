@@ -15,6 +15,7 @@
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
 use std::rc::Rc;
+use std::slice;
 
 use sim_mm::addr::{PageNum, PageRange};
 
@@ -91,9 +92,12 @@ impl CowMemory {
 
     /// Flattens the overlay onto the base into an owned image: the VM's
     /// logical memory, for callers that keep it (the record phase
-    /// snapshots it).
+    /// snapshots it). One merge into a vector sized for every base and
+    /// overlay entry, so it never regrows.
     pub fn materialize(&self) -> GuestMemory {
-        GuestMemory::from_sorted_pages(self.total_pages(), self.pages())
+        let mut contents = Vec::with_capacity(self.base.tokens().len() + self.overlay.len());
+        contents.extend(self.pages());
+        GuestMemory::from_sorted_pages(self.total_pages(), contents)
     }
 
     /// Checksum of the logical image, read through to the base (equals
@@ -116,7 +120,7 @@ impl Eq for CowMemory {}
 /// Iterator behind [`CowMemory::pages`]: an ordered merge in which an
 /// overlay entry shadows the base page and a zero token hides it.
 struct Pages<'a> {
-    base: Peekable<btree_map::Iter<'a, PageNum, u64>>,
+    base: Peekable<slice::Iter<'a, (PageNum, u64)>>,
     overlay: Peekable<btree_map::Iter<'a, PageNum, u64>>,
 }
 
@@ -125,7 +129,7 @@ impl Iterator for Pages<'_> {
 
     fn next(&mut self) -> Option<(PageNum, u64)> {
         loop {
-            let base = self.base.peek().map(|&(&p, _)| p);
+            let base = self.base.peek().map(|&&(p, _)| p);
             let overlay = self.overlay.peek().map(|&(&p, _)| p);
             let from_base = match (base, overlay) {
                 (None, None) => return None,
@@ -138,12 +142,12 @@ impl Iterator for Pages<'_> {
                 (b, _) => b.is_some(),
             };
             let next = if from_base {
-                self.base.next()
+                self.base.next().copied()
             } else {
-                self.overlay.next()
+                self.overlay.next().map(|(&page, &token)| (page, token))
             };
             match next {
-                Some((&page, &token)) if token != 0 => return Some((page, token)),
+                Some((page, token)) if token != 0 => return Some((page, token)),
                 _ => {}
             }
         }

@@ -4,9 +4,10 @@
 //! state of the VM like virtual devices and CPU registers as well as a
 //! memory file, which is the copy of the entire guest physical memory"
 //! (§2.4). In the simulation the memory file's logical contents are the
-//! frozen [`GuestMemory`] token map, held once behind an `Rc` and shared
-//! by every VM restored from it; the storage layer tracks the file's
-//! identity and size so reads are charged correctly.
+//! frozen [`GuestMemory`] image (its non-zero pages, one sorted vector),
+//! held once behind an `Rc` and shared by every VM restored from it; the
+//! storage layer tracks the file's identity and size so reads are charged
+//! correctly.
 //!
 //! Restore correctness invariant (asserted by integration tests): under
 //! *every* restore strategy, a guest read of page `p` observes exactly

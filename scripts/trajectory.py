@@ -8,10 +8,12 @@ the trajectory seed for `run_seconds`, with tracing off.
 
 Usage:
   scripts/trajectory.py record     measure and write BENCH_<date>.json
-                                   (schema v3)
+                                   (schema v3); a later point of the same
+                                   day is BENCH_<date>_<n>.json, n = 2, 3, ...
+                                   An existing point is never replaced.
   scripts/trajectory.py compare    measure and check the result against the
                                    newest schema-v3 BENCH_*.json tracked by
-                                   git; writes nothing
+                                   git, newest by (date, n); writes nothing
   scripts/trajectory.py selftest   measure nothing; show on that point that
                                    the compare passes it against itself and
                                    fails every regression it guards against
@@ -45,6 +47,7 @@ EXACT = ("sim_ms_mean", "sim_ms_p99", "fidelity_err_pct")
 BOUNDED = ("ops_per_ref", "call_ref_p50", "peak_rss_mb")
 UNGATED = ("setup_s",)
 DIGEST_LINE = re.compile(r"^attempted \d+ failed \d+ digest ([0-9a-f]{16})$")
+POINT_NAME = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})(?:_(\d+))?\.json$")
 
 
 def die(msg, status=2):
@@ -107,12 +110,33 @@ def measure(spec, metrics):
     }
 
 
+def point_order(name):
+    """(date, n) of point file `name`: BENCH_<date>.json is a day's first
+    point (n = 1), BENCH_<date>_<n>.json its n-th. Compared as numbers, so
+    _10 comes after _2."""
+    m = POINT_NAME.match(name)
+    if not m or (m.group(2) is not None and int(m.group(2)) < 2):
+        die(f"{name} is not a point name: BENCH_<date>.json or "
+            f"BENCH_<date>_<n>.json with n >= 2")
+    return m.group(1), int(m.group(2) or 1)
+
+
+def new_point_path(date):
+    """The first free point name of `date`: BENCH_<date>.json, then
+    BENCH_<date>_2.json, BENCH_<date>_3.json, ..."""
+    path, n = ROOT / f"BENCH_{date}.json", 1
+    while path.exists():
+        n += 1
+        path = ROOT / f"BENCH_{date}_{n}.json"
+    return path
+
+
 def committed_point():
     """(file name, content) of the newest schema-v3 point git tracks."""
     tracked = subprocess.run(["git", "ls-files", "BENCH_*.json"], cwd=ROOT,
                              capture_output=True, text=True, check=True)
     points = [(name, json.loads((ROOT / name).read_text()))
-              for name in sorted(tracked.stdout.split())]
+              for name in sorted(tracked.stdout.split(), key=point_order)]
     points = [p for p in points if p[1].get("schema_version") == 3]
     if not points:
         die("no schema-v3 BENCH_*.json is tracked; run "
@@ -220,6 +244,12 @@ def selftest(point, metrics):
         status = verdict(point, run, metrics)[0]
         if status != expected:
             wrong.append(f"{what}: exit {status}, expected {expected}")
+    # Oldest first. As strings, _10 would sort before _2.
+    names = ["BENCH_2026-10-17.json", "BENCH_2026-10-17_2.json",
+             "BENCH_2026-10-17_10.json", "BENCH_2026-10-18.json"]
+    ordered = sorted(reversed(names), key=point_order)
+    if ordered != names:
+        wrong.append(f"points order as {ordered}, expected {names}")
     return len(cases), wrong
 
 
@@ -234,8 +264,10 @@ def main():
                   if not r["correct"] or r["failed"]]
         if failed:
             die(f"not recording a point: operations failed in {failed}", 1)
-        path = ROOT / f"BENCH_{run['date']}.json"
-        path.write_text(json.dumps(run, indent=2) + "\n")
+        path = new_point_path(run["date"])
+        # Mode "x" fails rather than replace a point written meanwhile.
+        with open(path, "x") as out:
+            out.write(json.dumps(run, indent=2) + "\n")
         print(f"wrote {path.name}")
         return
     name, point = committed_point()
@@ -247,7 +279,7 @@ def main():
               f"against itself and trips on all {total - 1} changed copies (on "
               f"every workload each host metric 2x worse, each seed-pure metric "
               f"and the digest changed, one failed operation; another seed, "
-              f"seconds or workload set)")
+              f"seconds or workload set), and points order by (date, n)")
         return
     why = mismatch(point["config"], config(spec, metrics))
     if why:

@@ -29,11 +29,17 @@ use proptest::prelude::*;
 use sim_core::time::SimDuration;
 use sim_core::units::PAGE_SIZE;
 
-/// A small sparse page image: page index → nonzero token. (The in-tree
-/// proptest shim has no `btree_map`, so collect pairs.)
-fn sparse_image() -> impl Strategy<Value = BTreeMap<u64, u64>> {
-    proptest::collection::vec((0u64..256, 1u64..u64::MAX), 0..64)
-        .prop_map(|pairs| pairs.into_iter().collect())
+/// A small sparse page image: nonzero `(page, token)` pairs in strictly
+/// ascending page order, the form the store ingests. (The in-tree
+/// proptest shim has no `btree_map`, so collect pairs through a map.)
+fn sparse_image() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec((0u64..256, 1u64..u64::MAX), 0..64).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .collect::<BTreeMap<u64, u64>>()
+            .into_iter()
+            .collect()
+    })
 }
 
 /// The flat registry the layered [`StoreRegistry`] must agree with: one
@@ -117,7 +123,7 @@ proptest! {
     #[test]
     fn base_layer_roundtrips_identity(pages in sparse_image()) {
         let mut store = SnapshotStore::new(StoreConfig { chunk_pages: 16 });
-        let base = store.put_base_layer(&pages);
+        let base = store.put_base_layer(&pages).unwrap();
         let snap = store.compose_snapshot(&[base], 0).unwrap();
         prop_assert_eq!(store.materialize(snap).unwrap(), pages);
         store.debug_validate().unwrap();
@@ -131,12 +137,12 @@ proptest! {
         write_pairs in proptest::collection::vec((0u64..256, 0u64..u64::MAX), 0..32),
     ) {
         let mut store = SnapshotStore::new(StoreConfig { chunk_pages: 16 });
-        let base = store.put_base_layer(&base_pages);
+        let base = store.put_base_layer(&base_pages).unwrap();
         let parent = store.compose_snapshot(&[base], 0).unwrap();
 
         // Apply the writes (token 0 = page zeroed → removed).
         let writes: BTreeMap<u64, u64> = write_pairs.into_iter().collect();
-        let mut mutated = base_pages.clone();
+        let mut mutated: BTreeMap<u64, u64> = base_pages.iter().copied().collect();
         for (&page, &token) in &writes {
             if token == 0 {
                 mutated.remove(&page);
@@ -144,11 +150,12 @@ proptest! {
                 mutated.insert(page, token);
             }
         }
+        let mutated: Vec<(u64, u64)> = mutated.into_iter().collect();
         let delta = store.put_delta_layer(parent, &mutated).unwrap();
         let layered = store.compose_snapshot(&[base, delta], 0).unwrap();
 
         let mut flat_store = SnapshotStore::new(StoreConfig { chunk_pages: 16 });
-        let flat_base = flat_store.put_base_layer(&mutated);
+        let flat_base = flat_store.put_base_layer(&mutated).unwrap();
         let flat = flat_store.compose_snapshot(&[flat_base], 0).unwrap();
 
         prop_assert_eq!(
