@@ -6,7 +6,7 @@ use faasnap_daemon::platform::BurstKind;
 use sim_core::units::MIB;
 use sim_storage::profiles::DiskProfile;
 
-use crate::runner::{dump_observability, ensure_recorded, measure_total, platform_with, run_once};
+use crate::runner::{ensure_recorded, measure_total, platform_with, run_once};
 use crate::Effort;
 
 /// The four headline systems in the paper's plotting order.
@@ -98,7 +98,6 @@ pub fn fig1_breakdown(effort: Effort) -> TextTable {
             ]);
         }
     }
-    dump_observability(&p, "fig1_breakdown");
     t
 }
 
@@ -778,11 +777,11 @@ pub fn fig_fork(effort: Effort) -> TextTable {
         // The N = 1 fork is the independent-restore baseline: every
         // fork call drops the caches first, so each row starts cold.
         let solo = p
-            .fork(f.name(), "fork", &f.input_a(), strategy, 1)
+            .try_fork(f.name(), "fork", &f.input_a(), strategy, 1)
             .unwrap_or_else(|e| panic!("fork baseline: {e}"));
         for &n in fan {
             let out = p
-                .fork(f.name(), "fork", &f.input_a(), strategy, n)
+                .try_fork(f.name(), "fork", &f.input_a(), strategy, n)
                 .unwrap_or_else(|e| panic!("fork x{n}: {e}"));
             let independent = solo.disk_read_pages * n as u64;
             let dedup = if out.disk_read_pages == 0 {

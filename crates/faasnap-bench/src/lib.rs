@@ -1,10 +1,12 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Each evaluation artifact has a bench target (run `cargo bench -p
-//! faasnap-bench` to regenerate them all) backed by a driver in
-//! [`figures`]:
+//! One bench target, `figures`, runs the drivers in [`figures`] by name:
+//! `cargo bench -p faasnap-bench` regenerates them all, in the order of
+//! [`DRIVERS`], and `cargo bench -p faasnap-bench -- fig6_exec_time
+//! tbl_merge` only the named ones. `FAASNAP_QUICK=1` runs them at
+//! [`Effort::Quick`]; an unknown name exits with status 2.
 //!
-//! | target               | paper artifact | driver |
+//! | name                 | paper artifact | driver |
 //! |----------------------|----------------|--------|
 //! | `fig1_breakdown`     | Figure 1       | [`figures::fig1_breakdown`] |
 //! | `fig2_fault_dist`    | Figure 2       | [`figures::fig2_fault_dist`] |
@@ -18,17 +20,52 @@
 //! | `fig11_remote`       | Figure 11      | [`figures::fig11_remote`] |
 //! | `tbl_footprint`      | §7.3           | [`figures::tbl_footprint`] |
 //! | `tbl_merge`          | §4.6           | [`figures::tbl_merge`] |
+//! | `tbl_sensitivity`    | §4.3, §4.6     | [`figures::tbl_sensitivity`] |
+//! | `tbl_policy`         | §7.1           | [`figures::tbl_policy`] |
+//! | `tbl_cache_pressure` | cache pressure | [`figures::tbl_cache_pressure`] |
 //! | `fig_cluster`        | fleet SLOs     | [`figures::fig_cluster`] |
 //! | `fig_fork`           | branching      | [`figures::fig_fork`] |
 //!
 //! Drivers accept an [`Effort`] so smoke tests can run the same code
-//! cheaply; bench targets use [`Effort::Full`]. The targets report the
-//! modeled system's simulated time; the simulator's own speed is the
-//! repository benchmark's (`benchmark/`, via `scripts/trajectory.py`).
+//! cheaply; a full `cargo bench` uses [`Effort::Full`]. The drivers
+//! report the modeled system's simulated time; the simulator's own speed
+//! is the repository benchmark's (`benchmark/`, via
+//! `scripts/trajectory.py`).
 
 #![forbid(unsafe_code)]
 pub mod figures;
 pub mod runner;
+
+use faasnap_daemon::metrics::TextTable;
+
+/// A driver as the `figures` bench target runs it: its tables at one
+/// effort.
+pub type Driver = fn(Effort) -> Vec<TextTable>;
+
+/// Every driver by name, in the order a full `cargo bench` runs them.
+pub const DRIVERS: &[(&str, Driver)] = &[
+    ("fig1_breakdown", |e| vec![figures::fig1_breakdown(e)]),
+    ("fig2_fault_dist", |e| vec![figures::fig2_fault_dist(e)]),
+    ("table2_workingsets", |e| {
+        vec![figures::table2_workingsets(e)]
+    }),
+    ("fig6_exec_time", figures::fig6_exec_time),
+    ("fig7_synthetic", |e| vec![figures::fig7_synthetic(e)]),
+    ("fig8_input_sweep", |e| vec![figures::fig8_input_sweep(e)]),
+    ("table3_analysis", |e| vec![figures::table3_analysis(e)]),
+    ("fig9_ablation", |e| vec![figures::fig9_ablation(e)]),
+    ("fig10_burst", |e| vec![figures::fig10_burst(e)]),
+    ("fig11_remote", |e| vec![figures::fig11_remote(e)]),
+    ("tbl_footprint", |e| vec![figures::tbl_footprint(e)]),
+    ("tbl_merge", |e| vec![figures::tbl_merge(e)]),
+    ("tbl_sensitivity", |e| vec![figures::tbl_sensitivity(e)]),
+    ("tbl_policy", |e| vec![figures::tbl_policy(e)]),
+    ("tbl_cache_pressure", |e| {
+        vec![figures::tbl_cache_pressure(e)]
+    }),
+    ("fig_cluster", |e| vec![figures::fig_cluster(e)]),
+    ("fig_fork", |e| vec![figures::fig_fork(e)]),
+];
 
 /// How much work to spend on an experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,6 +89,17 @@ impl Effort {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crate_doc_table_is_the_driver_list() {
+        let rows: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .filter_map(|l| l.split('`').next())
+            .collect();
+        let names: Vec<&str> = DRIVERS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(rows, names);
+    }
 
     #[test]
     fn effort_reps() {

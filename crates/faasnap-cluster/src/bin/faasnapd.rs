@@ -22,8 +22,14 @@
 //!                  [--smoke] [--mega] [--branch]
 //!                  [--metrics-out <file>] [--trace-out <file>]
 //!                  [--profile-out <file>] [--self-profile-out <file>]
-//! faasnapd lint [--root <dir>] [--deep] [--json]
 //! ```
+//!
+//! `invoke --fork N` branches N copy-on-write siblings from the one
+//! recorded snapshot; the default, one sibling, is an ordinary restore.
+//! Every N takes the same traced path and honours the same `--trace` and
+//! `--*-out` flags; only the stdout summary differs (the single VM's
+//! time and fault counts, or the siblings' mean/p95/max plus sharing).
+//! The workspace lint is the `faasnap-lint` binary, not a subcommand.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON file loadable in
 //! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`; `--metrics-out`
@@ -73,7 +79,7 @@ use faasnap_cluster::{
     WorkloadSpec,
 };
 use faasnap_daemon::config::ExperimentConfig;
-use faasnap_daemon::observe::{traced_fork, traced_invoke};
+use faasnap_daemon::observe::traced_fork;
 use faasnap_daemon::platform::{BurstKind, Platform};
 use faasnap_daemon::policy::{best_mode_for_period, Costs, ModeLatencies};
 use faasnap_obs::{
@@ -97,10 +103,7 @@ impl Args {
         let mut iter = std::env::args().skip(1).peekable();
         while let Some(a) = iter.next() {
             if let Some(name) = a.strip_prefix("--") {
-                let value = if matches!(
-                    name,
-                    "trace" | "smoke" | "mega" | "deep" | "json" | "branch"
-                ) {
+                let value = if matches!(name, "trace" | "smoke" | "mega" | "branch") {
                     "true".to_string()
                 } else {
                     iter.next()
@@ -156,9 +159,6 @@ const INVOKE_FLAGS: &[&str] = &[
 
 /// Every flag `faasnapd burst` reads.
 const BURST_FLAGS: &[&str] = &["strategy", "parallelism", "kind", "device"];
-
-/// Every flag `faasnapd lint` reads.
-const LINT_FLAGS: &[&str] = &["root", "deep", "json"];
 
 /// Every flag `faasnapd cluster` reads.
 const CLUSTER_FLAGS: &[&str] = &[
@@ -229,49 +229,10 @@ fn main() {
         Some("burst") => cmd_burst(&args),
         Some("policy") => cmd_policy(&args),
         Some("cluster") => cmd_cluster(&args),
-        Some("lint") => cmd_lint(&args),
-        _ => die(
-            "usage: faasnapd <list|invoke|burst|policy|cluster|lint> [args]; see --help in the source header",
-        ),
-    }
-}
-
-fn cmd_lint(args: &Args) {
-    args.reject_unknown("lint", LINT_FLAGS);
-    let root = match args.flags.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::current_dir()
-            .ok()
-            .and_then(|d| faasnap_lint::find_workspace_root(&d))
-            .unwrap_or_else(|| die("no workspace root found (pass --root)")),
-    };
-    let deep = args.flags.contains_key("deep");
-    let report = if deep {
-        faasnap_lint::lint_workspace_deep(&root)
-    } else {
-        faasnap_lint::lint_workspace(&root)
-    }
-    .unwrap_or_else(|e| die(&e));
-    if args.flags.contains_key("json") {
-        print!("{}", report.to_json());
-    } else {
-        for d in &report.diagnostics {
-            println!("{d}");
-        }
-        println!(
-            "unwrap-budget: {} of {} non-test unwrap()/expect() call sites used",
-            report.unwrap_count, report.unwrap_budget
-        );
-        if deep {
-            println!(
-                "panic-path-budget: {} of {} non-test panic paths used",
-                report.panic_path_count, report.panic_path_budget
-            );
-        }
-    }
-    if !report.is_clean() {
-        eprintln!("faasnapd lint: {} diagnostic(s)", report.diagnostics.len());
-        std::process::exit(1);
+        other => die(&format!(
+            "unknown subcommand {:?}; usage: faasnapd <list|invoke|burst|policy|cluster> [args]; see --help in the source header",
+            other.unwrap_or_default()
+        )),
     }
 }
 
@@ -326,17 +287,37 @@ fn cmd_invoke(args: &Args) {
     let strategy = strategy_for(&args.flag("strategy", "faasnap"));
     let profile = profile_for(&args.flag("device", "nvme"));
     let input = input_for(args, &f);
-    // `--fork N` branches N concurrent restores from the one snapshot
-    // instead of running a single independent restore.
+    // `--fork N` branches N concurrent restores from the one snapshot;
+    // the default, one sibling, is a single independent restore.
     let fork_n: usize = args.num("fork", "1");
     if fork_n == 0 {
         die("--fork must be at least 1");
     }
-    if fork_n > 1 {
-        println!("recording snapshot for {} (input A)...", f.name());
-        let run = traced_fork(f.name(), &input, strategy, profile, 0xFA5D, fork_n)
-            .unwrap_or_else(|e| die(&e));
-        let fork = &run.fork;
+    println!("recording snapshot for {} (input A)...", f.name());
+    let run = traced_fork(f.name(), &input, strategy, profile, 0xFA5D, fork_n)
+        .unwrap_or_else(|e| die(&e));
+    let fork = &run.fork;
+    if let [one] = fork.outcomes.as_slice() {
+        let r = &one.report;
+        println!(
+            "{} under {}: total {} (setup {} + invoke {})",
+            f.name(),
+            strategy.label(),
+            r.total_time(),
+            r.setup_time,
+            r.invocation_time
+        );
+        println!(
+            "faults: {} anon, {} minor, {} major, {} host-pte, {} uffd; fetched {} pages in {}",
+            r.anon_faults,
+            r.minor_faults,
+            r.major_faults,
+            r.host_pte_faults,
+            r.uffd_faults,
+            r.fetch_pages,
+            r.fetch_time
+        );
+    } else {
         let times: Summary = fork
             .outcomes
             .iter()
@@ -355,43 +336,7 @@ fn cmd_invoke(args: &Args) {
             "sharing: {} disk pages read for {} siblings ({} shared base pages, {} private COW pages)",
             fork.disk_read_pages, fork_n, fork.shared_pages, fork.private_pages
         );
-        if let Some(path) = args.flags.get("trace-out") {
-            write_artifact(path, "Chrome trace", &chrome_trace_json(&run.tracer));
-        }
-        if let Some(path) = args.flags.get("metrics-out") {
-            write_artifact(path, "metrics", &run.metrics.render_prometheus());
-        }
-        if let Some(path) = args.flags.get("profile-out") {
-            println!("\n{}", render_phase_table(&run.tracer));
-            write_artifact(path, "folded stacks", &folded_stacks(&run.tracer));
-        }
-        if let Some(path) = args.flags.get("self-profile-out") {
-            write_artifact(path, "self-profile", &run.selfprof.render_report());
-        }
-        return;
     }
-    println!("recording snapshot for {} (input A)...", f.name());
-    let run =
-        traced_invoke(f.name(), &input, strategy, profile, 0xFA5D).unwrap_or_else(|e| die(&e));
-    let r = &run.outcome.report;
-    println!(
-        "{} under {}: total {} (setup {} + invoke {})",
-        f.name(),
-        strategy.label(),
-        r.total_time(),
-        r.setup_time,
-        r.invocation_time
-    );
-    println!(
-        "faults: {} anon, {} minor, {} major, {} host-pte, {} uffd; fetched {} pages in {}",
-        r.anon_faults,
-        r.minor_faults,
-        r.major_faults,
-        r.host_pte_faults,
-        r.uffd_faults,
-        r.fetch_pages,
-        r.fetch_time
-    );
     if args.flags.contains_key("trace") {
         println!("\n{}", render_text_tree(&run.tracer));
     }

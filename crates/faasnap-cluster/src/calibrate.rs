@@ -35,7 +35,7 @@ pub fn service_times_for(
         .input_b();
     let l = ModeLatencies::measure(p, name, label, &input)?;
     let snap_hot = p
-        .invoke(name, label, &input, RestoreStrategy::Cached)?
+        .try_invoke(name, label, &input, RestoreStrategy::Cached)?
         .report
         .total_time();
     let art = p

@@ -1,7 +1,8 @@
 //! `faasnapd` rejects the flags it would otherwise ignore: unknown names
 //! on every subcommand, so a typo cannot silently run the defaults, and
 //! `cluster`'s fleet-shape flags next to a preset that fixes the fleet.
-//! Both exit with status 2 before simulating anything.
+//! Both exit with status 2 before simulating anything, as does an
+//! unknown subcommand. The flags a subcommand does read take effect.
 
 use std::process::{Command, Output};
 
@@ -47,9 +48,24 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         &["policy", "hello-world", "--strategy", "reap"],
         "--strategy",
     );
-    // The typo takes `--deep` as its value, yet must not lint anyway.
-    assert_rejected(&["lint", "--jsno", "--deep"], "--jsno");
+    // The workspace lint is the `faasnap-lint` binary's alone.
+    assert_rejected(&["lint"], "\"lint\"");
     assert_rejected(&["list", "--device", "ebs"], "--device");
+}
+
+#[test]
+fn invoke_fork_prints_the_span_tree_with_trace() {
+    // Every `--fork N` runs the one invoke path, so `--trace` prints the
+    // span tree for a fork as it does for a single restore.
+    let out = faasnapd(&["invoke", "hello-world", "--fork", "2", "--trace"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("hello-world x2 fork"), "{stdout}");
+    assert!(
+        stdout.contains("\nplatform/fork ["),
+        "no span tree: {stdout}"
+    );
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //!
 //! - [`registry`] — functions and their recorded snapshot artifacts.
 //! - [`platform`] — the daemon API: register a function, run its record
-//!   phase, invoke it under any restore strategy (with the evaluation's
-//!   drop-caches hygiene), and run bursty workloads (§6.6) on shared host
-//!   resources.
+//!   phase, restore N ≥ 1 copy-on-write siblings of its snapshot under
+//!   any restore strategy (one sibling is an ordinary invocation; the
+//!   evaluation's drop-caches hygiene applies), and run bursty workloads
+//!   (§6.6) on shared host resources.
 //! - [`config`] — JSON experiment configurations mirroring the artifact's
 //!   `test-2inputs.json` / `test-6inputs.json` files.
 //! - [`metrics`] — repetition aggregation (mean ± stddev, as the paper
@@ -28,7 +29,7 @@ pub mod registry;
 
 pub use config::ExperimentConfig;
 pub use metrics::{MeasuredCell, TextTable};
-pub use observe::{traced_invoke, TraceRun};
+pub use observe::{traced_fork, TraceRun};
 pub use platform::{BurstKind, InvokeError, Platform};
 pub use policy::{simulate_policy, ModeLatencies, Policy, ServingMode};
 pub use registry::FunctionRegistry;

@@ -2,46 +2,51 @@
 //! trace and metrics.
 //!
 //! This is the daemon-level entry point behind `faasnapd invoke
-//! --trace-out` and the bench harness's artifact dumps. It builds a
-//! fresh platform, records the snapshot untraced (the record phase is
-//! setup, not the thing being observed), then enables observability for
-//! exactly the measured invocation — so the trace starts at request
-//! arrival and the metrics cover only test-phase work.
+//! --trace-out`. It builds a fresh platform, records the snapshot
+//! untraced (the record phase is setup, not the thing being observed),
+//! then enables observability for exactly the measured restores — so the
+//! trace starts at request arrival and the metrics cover only test-phase
+//! work.
 
 use faas_workloads::Input;
-use faasnap::runtime::{ForkOutcome, InvocationOutcome};
+use faasnap::runtime::ForkOutcome;
 use faasnap::strategy::RestoreStrategy;
 use faasnap_obs::{Metrics, SelfProfile, Tracer};
 use sim_storage::profiles::DiskProfile;
 
 use crate::platform::Platform;
 
-/// An invocation outcome together with the observability it produced.
+/// A fork outcome together with the observability it produced.
 pub struct TraceRun {
-    /// The runtime's measurements and final state.
-    pub outcome: InvocationOutcome,
-    /// Spans covering the invocation (platform → loader/function →
-    /// per-fault), renderable via [`faasnap_obs::chrome_trace_json`] or
+    /// Per-sibling outcomes plus fork sharing accounting; one sibling is
+    /// an ordinary test-phase invocation.
+    pub fork: ForkOutcome,
+    /// Spans covering the restores (platform → fork when n > 1 →
+    /// per-sibling invocations → loader/function → per-fault),
+    /// renderable via [`faasnap_obs::chrome_trace_json`] or
     /// [`faasnap_obs::render_text_tree`].
     pub tracer: Tracer,
-    /// Metrics covering the invocation (fault counts by class, prefetch
-    /// traffic, fault-wait histogram).
+    /// Metrics covering the restores (fault counts by class, prefetch
+    /// traffic, fault-wait histogram, and `faasnap_fork_*` sharing
+    /// counters when n > 1).
     pub metrics: Metrics,
-    /// Engine self-profile covering the invocation (event-loop, fault
+    /// Engine self-profile covering the restores (event-loop, fault
     /// resolver, and store work counters; wall-ns under the `wallclock`
     /// feature, zero otherwise).
     pub selfprof: SelfProfile,
 }
 
 /// Records `function` with its input A under label `"cli"` on a fresh
-/// host, then runs one fully traced test-phase invocation of `input`
-/// under `strategy`.
-pub fn traced_invoke(
+/// host, then branches `n` fully traced concurrent restores of `input`
+/// under `strategy` from that snapshot. `n = 1` is one test-phase
+/// invocation.
+pub fn traced_fork(
     function: &str,
     input: &Input,
     strategy: RestoreStrategy,
     profile: DiskProfile,
     seed: u64,
+    n: usize,
 ) -> Result<TraceRun, String> {
     let mut platform = Platform::new(profile, seed);
     for f in faas_workloads::all_functions() {
@@ -60,59 +65,8 @@ pub fn traced_invoke(
     platform.set_tracer(tracer.clone());
     platform.set_metrics(metrics.clone());
     platform.set_self_profile(selfprof.clone());
-    let outcome = platform.invoke(function, "cli", input, strategy)?;
+    let fork = platform.try_fork(function, "cli", input, strategy, n)?;
     Ok(TraceRun {
-        outcome,
-        tracer,
-        metrics,
-        selfprof,
-    })
-}
-
-/// A fork outcome together with the observability it produced.
-pub struct ForkRun {
-    /// Per-sibling outcomes plus fork sharing accounting.
-    pub fork: ForkOutcome,
-    /// Spans covering the fork (platform → fork → per-sibling
-    /// invocations → per-fault).
-    pub tracer: Tracer,
-    /// Metrics covering the fork (fault counts, prefetch traffic,
-    /// `faasnap_fork_*` sharing counters when n > 1).
-    pub metrics: Metrics,
-    /// Engine self-profile covering the fork.
-    pub selfprof: SelfProfile,
-}
-
-/// [`traced_invoke`]'s branching sibling: records `function` once, then
-/// branches `n` fully traced concurrent restores from the snapshot. With
-/// `n = 1` the artifacts are byte-identical to [`traced_invoke`]'s.
-pub fn traced_fork(
-    function: &str,
-    input: &Input,
-    strategy: RestoreStrategy,
-    profile: DiskProfile,
-    seed: u64,
-    n: usize,
-) -> Result<ForkRun, String> {
-    let mut platform = Platform::new(profile, seed);
-    for f in faas_workloads::all_functions() {
-        platform.register(f);
-    }
-    let input_a = platform
-        .registry()
-        .function(function)
-        .ok_or_else(|| format!("unknown function {function}"))?
-        .input_a();
-    platform.record(function, "cli", &input_a)?;
-
-    let tracer = Tracer::enabled();
-    let metrics = Metrics::enabled();
-    let selfprof = SelfProfile::enabled();
-    platform.set_tracer(tracer.clone());
-    platform.set_metrics(metrics.clone());
-    platform.set_self_profile(selfprof.clone());
-    let fork = platform.fork(function, "cli", input, strategy, n)?;
-    Ok(ForkRun {
         fork,
         tracer,
         metrics,
@@ -126,12 +80,13 @@ mod tests {
 
     fn run() -> TraceRun {
         let f = faas_workloads::by_name("hello-world").unwrap();
-        traced_invoke(
+        traced_fork(
             "hello-world",
             &f.input_b(),
             RestoreStrategy::faasnap(),
             DiskProfile::nvme_c5d(),
             0xFA5D,
+            1,
         )
         .unwrap()
     }
@@ -170,6 +125,6 @@ mod tests {
             .iter()
             .filter(|s| s.name.starts_with("fault/"))
             .count() as u64;
-        assert_eq!(fault_spans, tr.outcome.report.total_faults());
+        assert_eq!(fault_spans, tr.fork.outcomes[0].report.total_faults());
     }
 }

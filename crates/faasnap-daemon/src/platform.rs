@@ -48,6 +48,14 @@ impl std::fmt::Display for InvokeError {
 
 impl std::error::Error for InvokeError {}
 
+/// Lets `?` carry an [`InvokeError`] out of functions that report
+/// `String` errors.
+impl From<InvokeError> for String {
+    fn from(e: InvokeError) -> String {
+        e.to_string()
+    }
+}
+
 /// Snapshot sharing mode of a burst (§6.6): "the burst of VMs from the
 /// same snapshot and from different snapshots".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,11 +139,6 @@ impl Platform {
     /// through the runtime and the fault resolver.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.host.tracer = tracer;
-    }
-
-    /// The trace handle (disabled unless [`Platform::set_tracer`] ran).
-    pub fn tracer(&self) -> &Tracer {
-        &self.host.tracer
     }
 
     /// Attaches a metrics registry.
@@ -228,20 +231,9 @@ impl Platform {
     }
 
     /// Test-phase invocation: drops caches (§6.1 hygiene), restores under
-    /// `strategy`, and executes the function with `input`.
-    pub fn invoke(
-        &mut self,
-        name: &str,
-        label: &str,
-        input: &Input,
-        strategy: RestoreStrategy,
-    ) -> Result<InvocationOutcome, String> {
-        self.try_invoke(name, label, input, strategy)
-            .map_err(|e| e.to_string())
-    }
-
-    /// [`Platform::invoke`] with a typed error: restore failures under
-    /// storage faults are distinguishable from registry misses.
+    /// `strategy`, and executes the function with `input`: the
+    /// one-sibling [`Platform::try_fork`]. The typed error tells restore
+    /// failures under storage faults apart from registry misses.
     pub fn try_invoke(
         &mut self,
         name: &str,
@@ -249,40 +241,17 @@ impl Platform {
         input: &Input,
         strategy: RestoreStrategy,
     ) -> Result<InvocationOutcome, InvokeError> {
-        let spec = self.prepare_restore(name, label, input, strategy)?;
-        let tracer = self.host.tracer.clone();
-        let ctx = tracer.begin(
-            "platform/invoke",
-            "daemon",
-            SimTime::ZERO,
-            TraceContext::NONE,
-        );
-        tracer.tag(ctx, "function", name);
-        tracer.tag(ctx, "label", label);
-        tracer.tag(ctx, "strategy", strategy.label());
-        tracer.push_parent(ctx);
-        let result = faasnap::runtime::run(&mut self.host, vec![spec]);
-        tracer.pop_parent();
-        match result {
-            Ok(mut outcomes) => {
-                let outcome = outcomes.remove(0);
-                tracer.end(ctx, SimTime::ZERO + outcome.report.total_time());
-                Ok(outcome)
-            }
-            Err(e) => {
-                tracer.end(ctx, tracer.latest_end().unwrap_or(SimTime::ZERO));
-                Err(InvokeError::Restore(e))
-            }
-        }
+        let mut fork = self.try_fork(name, label, input, strategy, 1)?;
+        Ok(fork.outcomes.remove(0))
     }
 
     /// Branches `n` concurrent restores from one snapshot (§6.6's
     /// same-snapshot burst taken to its logical end): all siblings share
     /// the frozen base image copy-on-write and the snapshot-keyed page
     /// state, so the working set is read from disk once for the whole
-    /// batch. `n = 1` is byte-identical to [`Platform::try_invoke`], and
-    /// `n = 0` fails with [`InvokeError::NoSiblings`] before touching the
-    /// host.
+    /// batch. `n = 1` *is* [`Platform::try_invoke`]: an ordinary restore,
+    /// traced as `platform/invoke` with no fork span or counters. `n = 0`
+    /// fails with [`InvokeError::NoSiblings`] before touching the host.
     pub fn try_fork(
         &mut self,
         name: &str,
@@ -328,19 +297,6 @@ impl Platform {
                 Err(InvokeError::Restore(e))
             }
         }
-    }
-
-    /// [`Platform::try_fork`] with a stringly error (CLI surface).
-    pub fn fork(
-        &mut self,
-        name: &str,
-        label: &str,
-        input: &Input,
-        strategy: RestoreStrategy,
-        n: usize,
-    ) -> Result<ForkOutcome, String> {
-        self.try_fork(name, label, input, strategy, n)
-            .map_err(|e| e.to_string())
     }
 
     /// Builds a test-phase spec without running it.
@@ -461,7 +417,7 @@ mod tests {
         let f = faas_workloads::by_name("hello-world").unwrap();
         p.record("hello-world", "a", &f.input_a()).unwrap();
         let out = p
-            .invoke("hello-world", "a", &f.input_b(), RestoreStrategy::faasnap())
+            .try_invoke("hello-world", "a", &f.input_b(), RestoreStrategy::faasnap())
             .unwrap();
         assert!(out.report.total_time() > SimDuration::ZERO);
         assert!(out.report.total_faults() > 0);
@@ -472,9 +428,9 @@ mod tests {
         let mut p = platform();
         let f = faas_workloads::by_name("hello-world").unwrap();
         let err = p
-            .invoke("hello-world", "a", &f.input_b(), RestoreStrategy::Vanilla)
+            .try_invoke("hello-world", "a", &f.input_b(), RestoreStrategy::Vanilla)
             .unwrap_err();
-        assert!(err.contains("no artifacts"));
+        assert!(err.to_string().contains("no artifacts"));
     }
 
     #[test]
@@ -482,7 +438,7 @@ mod tests {
         let mut p = platform();
         let input = Input::new(1.0, 0, 1);
         assert!(p
-            .invoke("ghost", "a", &input, RestoreStrategy::Vanilla)
+            .try_invoke("ghost", "a", &input, RestoreStrategy::Vanilla)
             .is_err());
     }
 
@@ -601,7 +557,7 @@ mod tests {
             }
             p.record("hello-world", "a", &f.input_a()).unwrap();
             let out = p
-                .invoke("hello-world", "a", &f.input_b(), RestoreStrategy::faasnap())
+                .try_invoke("hello-world", "a", &f.input_b(), RestoreStrategy::faasnap())
                 .unwrap();
             out.final_memory.checksum()
         };

@@ -75,11 +75,11 @@ impl ModeLatencies {
             p.record(name, label, &rec)?;
         }
         let warm = p
-            .invoke(name, label, input, RestoreStrategy::Warm)?
+            .try_invoke(name, label, input, RestoreStrategy::Warm)?
             .report
             .total_time();
         let snapshot = p
-            .invoke(name, label, input, RestoreStrategy::faasnap())?
+            .try_invoke(name, label, input, RestoreStrategy::faasnap())?
             .report
             .total_time();
         let cold = p.host().boot.cold_start() + warm;

@@ -45,12 +45,12 @@ fn main() {
             RestoreStrategy::faasnap(),
         ] {
             let out = platform
-                .invoke("image", "api", &input, strategy)
+                .try_invoke("image", "api", &input, strategy)
                 .expect("invoke");
             cells.push(out.report.total_time().as_millis_f64());
         }
         let warm = platform
-            .invoke("image", "api", &input, RestoreStrategy::Warm)
+            .try_invoke("image", "api", &input, RestoreStrategy::Warm)
             .expect("invoke")
             .report
             .total_time()

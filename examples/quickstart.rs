@@ -50,7 +50,7 @@ fn main() {
         RestoreStrategy::Cached,
     ] {
         let out = platform
-            .invoke("image", "demo", &image.input_b(), strategy)
+            .try_invoke("image", "demo", &image.input_b(), strategy)
             .expect("invoke");
         let r = &out.report;
         println!(

@@ -25,7 +25,7 @@ fn run_platform(profile: DiskProfile, name: &str) -> Vec<f64> {
     .into_iter()
     .map(|s| {
         platform
-            .invoke(name, "r", &f.input_b(), s)
+            .try_invoke(name, "r", &f.input_b(), s)
             .expect("invoke")
             .report
             .total_time()
@@ -80,7 +80,7 @@ fn main() {
         .mem_file();
     platform.host_mut().fs.set_device(mem_file, ebs);
     let tiered = platform
-        .invoke("image", "tier", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("image", "tier", &f.input_b(), RestoreStrategy::faasnap())
         .expect("invoke")
         .report
         .total_time()

@@ -150,26 +150,26 @@ fn ebs_slower_than_nvme_but_faasnap_still_wins() {
     let (mut nv, f) = platform(0xB6, DiskProfile::nvme_c5d());
     let (mut eb, fe) = platform(0xB6, DiskProfile::ebs_io2());
     let nv_fc = nv
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
         .unwrap()
         .report
         .total_time()
         .as_millis_f64();
     let eb_fc = eb
-        .invoke("json", "t", &fe.input_b(), RestoreStrategy::Vanilla)
+        .try_invoke("json", "t", &fe.input_b(), RestoreStrategy::Vanilla)
         .unwrap()
         .report
         .total_time()
         .as_millis_f64();
     assert!(eb_fc > nv_fc * 1.1, "EBS vanilla {eb_fc} vs NVMe {nv_fc}");
     let eb_fs = eb
-        .invoke("json", "t", &fe.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &fe.input_b(), RestoreStrategy::faasnap())
         .unwrap()
         .report
         .total_time()
         .as_millis_f64();
     let eb_reap = eb
-        .invoke("json", "t", &fe.input_b(), RestoreStrategy::Reap)
+        .try_invoke("json", "t", &fe.input_b(), RestoreStrategy::Reap)
         .unwrap()
         .report
         .total_time()
@@ -206,7 +206,7 @@ fn mixed_devices_loading_set_local_memory_remote() {
         let mut cell = sim_core::stats::Summary::new();
         for _ in 0..3 {
             let out = p
-                .invoke("hello-world", "t", &f.input_a(), RestoreStrategy::faasnap())
+                .try_invoke("hello-world", "t", &f.input_a(), RestoreStrategy::faasnap())
                 .unwrap();
             cell.record(out.report.total_time().as_millis_f64());
         }

@@ -89,7 +89,7 @@ fn byte_identity_across_all_strategies_under_bounded_faults() {
     let f = faas_workloads::by_name("json").unwrap();
     let input = f.input_b();
     let baseline = p
-        .invoke("json", "t", &input, RestoreStrategy::Warm)
+        .try_invoke("json", "t", &input, RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -99,7 +99,7 @@ fn byte_identity_across_all_strategies_under_bounded_faults() {
         // function, not whatever budget its predecessor left behind.
         p.inject_storage_faults(bounded_plan(0xD1FF));
         let out = p
-            .invoke("json", "t", &input, s)
+            .try_invoke("json", "t", &input, s)
             .unwrap_or_else(|e| panic!("{s:?} failed under bounded faults: {e}"));
         assert_eq!(
             out.final_memory.checksum(),
@@ -127,7 +127,7 @@ fn retries_heal_data_loss_without_degradation() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let baseline = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -139,7 +139,7 @@ fn retries_heal_data_loss_without_degradation() {
     ));
     p.inject_storage_faults(plan);
     let out = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     assert_eq!(out.final_memory.checksum(), baseline);
     assert!(!out.report.degraded, "two failures must heal via retries");
@@ -156,7 +156,7 @@ fn faulted_run(seed: u64) -> (String, FaultReport, String) {
     let f = faas_workloads::by_name("json").unwrap();
     p.inject_storage_faults(bounded_plan(seed));
     let out = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     let schedule = p.fault_schedule();
     (schedule, out.report.faults, p.metrics().render_prometheus())
@@ -184,7 +184,7 @@ fn faulted_runs_emit_fault_metrics_and_healthy_runs_do_not() {
     let mut p = recorded_platform("json", 0xFA17);
     p.set_metrics(Metrics::enabled());
     let f = faas_workloads::by_name("json").unwrap();
-    p.invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+    p.try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     let healthy = p.metrics().render_prometheus();
     for family in [
@@ -205,7 +205,7 @@ fn exhausted_retries_fail_closed_with_typed_error() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let clean = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
         .unwrap()
         .final_memory
         .checksum();
@@ -229,7 +229,7 @@ fn exhausted_retries_fail_closed_with_typed_error() {
     // bytes again — the failed run left no poisoned state behind.
     p.clear_storage_faults();
     let out = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Vanilla)
         .unwrap();
     assert_eq!(out.final_memory.checksum(), clean);
 }
@@ -239,7 +239,7 @@ fn loading_set_failure_degrades_to_vanilla_semantics() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let baseline = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -255,7 +255,7 @@ fn loading_set_failure_degrades_to_vanilla_semantics() {
     });
     p.inject_storage_faults(plan);
     let out = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     assert!(out.report.degraded, "loader exhaustion must degrade");
     assert_eq!(
@@ -273,7 +273,7 @@ fn memfile_prefetch_failure_degrades_to_demand_paging() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let baseline = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -285,7 +285,7 @@ fn memfile_prefetch_failure_degrades_to_demand_paging() {
     ));
     p.inject_storage_faults(plan);
     let out = p
-        .invoke(
+        .try_invoke(
             "json",
             "t",
             &f.input_b(),
@@ -301,7 +301,7 @@ fn reap_fetch_failure_degrades_and_miss_failure_fails_closed() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let baseline = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -315,7 +315,7 @@ fn reap_fetch_failure_degrades_and_miss_failure_fails_closed() {
     ));
     p.inject_storage_faults(plan);
     let out = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Reap)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Reap)
         .unwrap();
     assert!(out.report.degraded, "fetch exhaustion degrades");
     assert_eq!(out.final_memory.checksum(), baseline);
@@ -400,7 +400,7 @@ fn crashed_record_leaves_artifacts_cleanly_absent() {
     // Same platform, faults cleared: record completes and serves.
     p.clear_storage_faults();
     p.record("json", "t", &f.input_a()).unwrap();
-    p.invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+    p.try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
 }
 
@@ -410,7 +410,7 @@ fn platform_recreation_after_mid_invoke_crash_is_deterministic() {
     let mut reference = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let expected = reference
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap()
         .final_memory
         .checksum();
@@ -426,7 +426,7 @@ fn platform_recreation_after_mid_invoke_crash_is_deterministic() {
     drop(crashed);
     let mut restarted = recorded_platform("json", 0xFA17);
     let out = restarted
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     assert_eq!(
         out.final_memory.checksum(),
@@ -480,7 +480,7 @@ fn shrinking_isolates_the_rule_that_causes_retries() {
         }
         p.inject_storage_faults(plan);
         let out = p
-            .invoke("json", "t", &input, RestoreStrategy::Vanilla)
+            .try_invoke("json", "t", &input, RestoreStrategy::Vanilla)
             .unwrap();
         p.clear_storage_faults();
         out.report.faults.retries_total() > 0
@@ -507,7 +507,7 @@ fn shrinking_over_seeds_finds_minimal_schedules() {
         }
         p.inject_storage_faults(plan);
         let out = p
-            .invoke("json", "t", &input, RestoreStrategy::Vanilla)
+            .try_invoke("json", "t", &input, RestoreStrategy::Vanilla)
             .unwrap();
         p.clear_storage_faults();
         out.report.faults.retries_total() > 0
@@ -557,10 +557,10 @@ fn concurrent_sibling_faults_share_one_disk_read_stream() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let solo = p
-        .fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 1)
+        .try_fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 1)
         .unwrap();
     let branched = p
-        .fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 8)
+        .try_fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 8)
         .unwrap();
     assert!(
         branched.disk_read_pages <= solo.disk_read_pages,
@@ -589,7 +589,7 @@ fn injected_error_on_shared_read_heals_for_every_waiting_sibling() {
     let mut p = recorded_platform("json", 0xFA17);
     let f = faas_workloads::by_name("json").unwrap();
     let clean = p
-        .invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
+        .try_invoke("json", "t", &f.input_b(), RestoreStrategy::Warm)
         .unwrap()
         .final_memory
         .checksum();
@@ -601,7 +601,7 @@ fn injected_error_on_shared_read_heals_for_every_waiting_sibling() {
     ));
     p.inject_storage_faults(plan);
     let branched = p
-        .fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 4)
+        .try_fork("json", "t", &f.input_b(), RestoreStrategy::Vanilla, 4)
         .unwrap();
     let plan = p.clear_storage_faults().unwrap();
     assert_eq!(plan.injected(), 2, "the schedule never fired");
@@ -746,7 +746,7 @@ fn retry_traces_under_bounded_faults_are_pinned() {
     for s in all_strategies() {
         p.inject_storage_faults(bounded_plan(0xD1FF));
         let faults = p
-            .invoke("json", "t", &f.input_b(), s)
+            .try_invoke("json", "t", &f.input_b(), s)
             .unwrap()
             .report
             .faults;

@@ -28,10 +28,10 @@ fn thousand_way_fork_beats_independent_restores_by_10x() {
         // Every fork call drops the caches first, so the N = 1 fork is
         // exactly the cost of one independent cold restore.
         let solo = p
-            .fork("hello-world", "t", &f.input_b(), strategy, 1)
+            .try_fork("hello-world", "t", &f.input_b(), strategy, 1)
             .unwrap();
         let fork = p
-            .fork("hello-world", "t", &f.input_b(), strategy, 1000)
+            .try_fork("hello-world", "t", &f.input_b(), strategy, 1000)
             .unwrap();
         assert_eq!(fork.outcomes.len(), 1000);
         let independent = solo.disk_read_pages * 1000;

@@ -109,7 +109,7 @@ fn performance_ordering_holds() {
     // modest factor of Cached.
     let (mut p, f) = recorded_platform("image");
     let ms = |p: &mut Platform, s| {
-        p.invoke("image", "t", &f.input_b(), s)
+        p.try_invoke("image", "t", &f.input_b(), s)
             .unwrap()
             .report
             .total_time()
@@ -137,13 +137,13 @@ fn fault_class_signatures_per_strategy() {
     let (mut p, f) = recorded_platform("image");
     // Cached: no majors (everything pre-cached).
     let cached = p
-        .invoke("image", "t", &f.input_b(), RestoreStrategy::Cached)
+        .try_invoke("image", "t", &f.input_b(), RestoreStrategy::Cached)
         .unwrap();
     assert_eq!(cached.report.major_faults, 0);
     assert_eq!(cached.report.uffd_faults, 0);
     // Vanilla: no uffd, no host-pte.
     let vanilla = p
-        .invoke("image", "t", &f.input_b(), RestoreStrategy::Vanilla)
+        .try_invoke("image", "t", &f.input_b(), RestoreStrategy::Vanilla)
         .unwrap();
     assert_eq!(vanilla.report.uffd_faults, 0);
     assert_eq!(vanilla.report.host_pte_faults, 0);
@@ -151,7 +151,7 @@ fn fault_class_signatures_per_strategy() {
     // REAP: host-pte for prefetched pages, uffd outside the set, no plain
     // minors/majors (everything routes through uffd or the PTE fast path).
     let reap = p
-        .invoke("image", "t", &f.input_b(), RestoreStrategy::Reap)
+        .try_invoke("image", "t", &f.input_b(), RestoreStrategy::Reap)
         .unwrap();
     assert!(reap.report.host_pte_faults > 0);
     assert!(
@@ -162,7 +162,7 @@ fn fault_class_signatures_per_strategy() {
     // FaaSnap: anonymous faults (fresh buffers) + minors (prefetched) and
     // usually a few majors where the guest outruns the loader; never uffd.
     let fs = p
-        .invoke("image", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("image", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     assert!(fs.report.anon_faults > 0);
     assert!(fs.report.minor_faults > 0);
@@ -204,14 +204,14 @@ fn degraded_restore_falls_back_to_vanilla() {
 fn setup_times_reflect_strategy_work() {
     let (mut p, f) = recorded_platform("read-list");
     let warm = p
-        .invoke("read-list", "t", &f.input_a(), RestoreStrategy::Warm)
+        .try_invoke("read-list", "t", &f.input_a(), RestoreStrategy::Warm)
         .unwrap();
     assert_eq!(warm.report.setup_time.as_nanos(), 0, "warm has no setup");
     let vanilla = p
-        .invoke("read-list", "t", &f.input_a(), RestoreStrategy::Vanilla)
+        .try_invoke("read-list", "t", &f.input_a(), RestoreStrategy::Vanilla)
         .unwrap();
     let reap = p
-        .invoke("read-list", "t", &f.input_a(), RestoreStrategy::Reap)
+        .try_invoke("read-list", "t", &f.input_a(), RestoreStrategy::Reap)
         .unwrap();
     // REAP's setup includes the blocking 526 MB working-set fetch (§6.2:
     // "the setup step takes a long time to load and install the working

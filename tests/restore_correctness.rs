@@ -43,7 +43,7 @@ fn final_checksums(name: &str, test_b: bool) -> Vec<(String, u64)> {
     all_strategies()
         .into_iter()
         .map(|s| {
-            let out = p.invoke(name, "t", &input, s).unwrap();
+            let out = p.try_invoke(name, "t", &input, s).unwrap();
             (format!("{s:?}"), out.final_memory.checksum())
         })
         .collect()
@@ -86,7 +86,7 @@ fn faasnap_mapping_verification_active() {
     p.register(f.clone());
     p.record("chameleon", "t", &f.input_a()).unwrap();
     let out = p
-        .invoke("chameleon", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .try_invoke("chameleon", "t", &f.input_b(), RestoreStrategy::faasnap())
         .unwrap();
     assert!(out.report.anon_faults > 0, "anonymous arm exercised");
     assert!(
@@ -112,7 +112,7 @@ fn writes_overwrite_snapshot_state() {
         .memory()
         .checksum();
     for s in all_strategies() {
-        let out = p.invoke("json", "t", &f.input_b(), s).unwrap();
+        let out = p.try_invoke("json", "t", &f.input_b(), s).unwrap();
         assert_ne!(
             out.final_memory.checksum(),
             snapshot_sum,
@@ -122,25 +122,28 @@ fn writes_overwrite_snapshot_state() {
     }
 }
 
-/// One fully observed run on a fresh platform: the Chrome trace, the
-/// Prometheus snapshot, and the final guest-memory checksum. `fork_path`
-/// routes through the branching entry point with N = 1 instead of the
-/// independent-restore entry point.
+/// One fully observed restore on a fresh platform, driven straight
+/// through the runtime: the Chrome trace, the Prometheus snapshot, and
+/// the final guest-memory checksum. `fork_path` runs the spec as a
+/// one-sibling `runtime::fork` instead of a one-spec `runtime::run`.
 fn traced_artifacts(fork_path: bool, strategy: RestoreStrategy) -> (String, String, u64) {
     let mut p = Platform::new(DiskProfile::nvme_c5d(), 0xC0FFEE);
     let f = faas_workloads::by_name("json").unwrap();
     p.register(f.clone());
     p.record("json", "t", &f.input_a()).unwrap();
+    let spec = p.build_spec("json", "t", &f.input_b(), strategy).unwrap();
     let tracer = Tracer::enabled();
     let metrics = Metrics::enabled();
     p.set_tracer(tracer.clone());
     p.set_metrics(metrics.clone());
+    let host = p.host_mut();
+    host.drop_caches();
     let checksum = if fork_path {
-        let out = p.fork("json", "t", &f.input_b(), strategy, 1).unwrap();
+        let out = faasnap::runtime::fork(host, spec, 1).unwrap();
         out.outcomes[0].final_memory.checksum()
     } else {
-        let out = p.invoke("json", "t", &f.input_b(), strategy).unwrap();
-        out.final_memory.checksum()
+        let out = faasnap::runtime::run(host, vec![spec]).unwrap();
+        out[0].final_memory.checksum()
     };
     (
         chrome_trace_json(&tracer),
@@ -151,8 +154,9 @@ fn traced_artifacts(fork_path: bool, strategy: RestoreStrategy) -> (String, Stri
 
 #[test]
 fn fork_of_one_is_byte_identical_to_independent_restore() {
-    // The differential fork harness at its base case: branching one
-    // sibling must be indistinguishable — trace, metrics, and guest
+    // The differential fork harness at its base case, at the runtime
+    // boundary (the platform has one restore path above it): branching
+    // one sibling must be indistinguishable — trace, metrics, and guest
     // memory, byte for byte — from not branching at all, under every
     // strategy including the full ablation lattice.
     for s in all_strategies() {

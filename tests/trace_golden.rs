@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use faasnap::strategy::RestoreStrategy;
 use faasnap_cluster::{run_cluster, ClusterConfig, RoutePolicy};
-use faasnap_daemon::observe::traced_invoke;
+use faasnap_daemon::observe::traced_fork;
 use faasnap_obs::{
     chrome_trace_json, folded_stacks, render_phase_table, render_text_tree, Metrics, Tracer,
 };
@@ -52,12 +52,13 @@ fn cli_artifacts() -> &'static (String, String, String) {
 
 fn invoke_once() -> faasnap_daemon::observe::TraceRun {
     let f = faas_workloads::by_name("hello-world").unwrap();
-    traced_invoke(
+    traced_fork(
         "hello-world",
         &f.input_b(),
         RestoreStrategy::faasnap(),
         DiskProfile::nvme_c5d(),
         0xFA5D,
+        1,
     )
     .unwrap()
 }
