@@ -48,7 +48,7 @@ use sim_mm::addr::{PageNum, PageRange};
 use sim_mm::costs::FaultCosts;
 use sim_mm::fault::{FaultKind, FaultOutcome, FaultResolver};
 use sim_mm::page_table::{PageState, PageTable};
-use sim_mm::share::SharedPages;
+use sim_mm::share::{Cover, SharedPages};
 use sim_mm::userfaultfd::UffdRegistry;
 use sim_mm::vma::{AddressSpace, Resolved};
 use sim_storage::chunked::{merge_completions, ChunkedFile};
@@ -1067,22 +1067,21 @@ impl World for SimWorld<'_> {
                 let chunk = *v.loader_plan.chunk(idx);
                 // Resume at the first page of the chunk still uncovered
                 // (guest faults or other VMs may have filled some of it).
-                let end = chunk.page + chunk.pages;
-                let mut p = chunk.page;
-                while p < end
-                    && (self.host.pages.contains(chunk.file, p)
-                        || self.host.pages.completion_of(chunk.file, p).is_some())
-                {
-                    p += 1;
-                }
-                if p >= end {
+                let covered = self.host.pages.leading_run(
+                    chunk.file,
+                    chunk.page,
+                    chunk.pages,
+                    Cover::CachedOrInflight,
+                    true,
+                );
+                if covered == chunk.pages {
                     self.loader_issue_next(vm, now, sched);
                     return;
                 }
                 let io = IoRequest {
                     file: chunk.file,
-                    page: p,
-                    pages: end - p,
+                    page: chunk.page + covered,
+                    pages: chunk.pages - covered,
                     kind: IoKind::LoaderPrefetch,
                 };
                 self.loader_read(vm, idx, io, attempt, now, sched);
@@ -1509,15 +1508,10 @@ impl SimWorld<'_> {
         // Clamp to the mapping extent and trim at cached or in-flight
         // pages.
         let room = v.aspace.contiguous_extent(guest_start, io.pages);
-        let mut pages = 0;
-        for fp in file_start..file_start + room {
-            if self.host.pages.contains(file, fp)
-                || self.host.pages.completion_of(file, fp).is_some()
-            {
-                break;
-            }
-            pages += 1;
-        }
+        let pages =
+            self.host
+                .pages
+                .leading_run(file, file_start, room, Cover::CachedOrInflight, false);
         if pages == 0 {
             return;
         }
@@ -1547,11 +1541,14 @@ impl SimWorld<'_> {
             let chunk = *v.loader_plan.chunk(idx);
             self.vms[vm].loader_next += 1;
             // Read-once: skip fully cached or in-flight chunks.
-            let covered = (chunk.page..chunk.page + chunk.pages).all(|p| {
-                self.host.pages.contains(chunk.file, p)
-                    || self.host.pages.completion_of(chunk.file, p).is_some()
-            });
-            if covered {
+            let covered = self.host.pages.leading_run(
+                chunk.file,
+                chunk.page,
+                chunk.pages,
+                Cover::CachedOrInflight,
+                true,
+            );
+            if covered == chunk.pages {
                 self.host
                     .metrics
                     .counter_inc("faasnap_prefetch_skipped_chunks_total", &[]);

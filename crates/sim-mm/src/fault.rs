@@ -28,7 +28,7 @@ use sim_storage::readahead::ReadaheadState;
 use crate::addr::PageNum;
 use crate::costs::FaultCosts;
 use crate::page_table::{PageState, PageTable};
-use crate::share::SharedPages;
+use crate::share::{Cover, SharedPages};
 use crate::userfaultfd::UffdRegistry;
 use crate::vma::{AddressSpace, Resolved};
 
@@ -396,16 +396,12 @@ impl FaultResolver {
         // Clamp to the contiguous extent of the mapping so the window
         // never crosses into a different VMA (FaaSnap's per-region
         // mappings naturally bound readahead to each region).
-        let vma_limit = aspace.contiguous_extent(page, len);
-        let mut pages = vma_limit.max(1);
+        let vma_limit = aspace.contiguous_extent(page, len).max(1);
 
-        // Trim at the first cached page to keep the read contiguous.
-        for (i, fp) in (file_page..file_page + pages).enumerate() {
-            if i > 0 && pages_state.contains(file, fp) {
-                pages = i as u64;
-                break;
-            }
-        }
+        // Trim at the first cached page after the faulting one to keep the
+        // read contiguous.
+        let pages =
+            1 + pages_state.leading_run(file, file_page + 1, vma_limit - 1, Cover::Cached, false);
 
         let io = IoRequest {
             file,
@@ -421,13 +417,8 @@ impl FaultResolver {
         if sequential_stream && pages == len {
             let a_start = file_page + pages;
             let room = aspace.contiguous_extent(page + pages, len).min(len);
-            let mut a_pages = 0;
-            for fp in a_start..a_start + room {
-                if pages_state.contains(file, fp) || pages_state.completion_of(file, fp).is_some() {
-                    break;
-                }
-                a_pages += 1;
-            }
+            let a_pages =
+                pages_state.leading_run(file, a_start, room, Cover::CachedOrInflight, false);
             if a_pages > 0 {
                 async_io = Some(IoRequest {
                     file,

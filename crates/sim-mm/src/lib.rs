@@ -12,9 +12,11 @@
 //! - [`page_table`] — per-address-space page presence (three states:
 //!   unmapped, host-PTE-only as after `UFFDIO_COPY`, fully mapped) and RSS
 //!   accounting.
-//! - [`page_cache`] — the host page cache shared by all VMs: LRU, explicit
-//!   drop (the evaluation drops caches before each test), and warm-up for
-//!   the `Cached` reference setting.
+//! - [`page_cache`] — the host page cache shared by all VMs: exact LRU over
+//!   per-file 64-page blocks, explicit drop (the evaluation drops caches
+//!   before each test), and warm-up for the `Cached` reference setting.
+//! - [`inflight`] — file pages with disk reads in flight (the kernel's
+//!   page locks), in the same blocks, so racing faults wait on one read.
 //! - [`share`] — snapshot-keyed shared page state: the cache and in-flight
 //!   registries bundled behind canonical content-addressed chunk identity,
 //!   so concurrent restores of snapshots sharing chunks (fork siblings)
@@ -31,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 pub mod addr;
+mod blocks;
 pub mod costs;
 pub mod fault;
 pub mod inflight;
@@ -47,6 +50,6 @@ pub use fault::{FaultOutcome, FaultResolver};
 pub use inflight::InflightIo;
 pub use page_cache::PageCache;
 pub use page_table::{PageState, PageTable};
-pub use share::{ShareMap, SharedPages};
+pub use share::{Cover, ShareMap, SharedPages};
 pub use userfaultfd::UffdRegistry;
 pub use vma::{AddressSpace, Backing, Vma};

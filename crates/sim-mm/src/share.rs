@@ -23,12 +23,19 @@
 //! discontiguous. A hole (an unmapped chunk, all zeros) keeps its logical
 //! key: it costs no I/O either way, and siblings of the same logical file
 //! still share it.
+//!
+//! Both registries keep each file's pages in 64-page blocks, so
+//! [`SharedPages::leading_run`] answers "how far is this window covered"
+//! a word at a time: it ORs the cache's residency word with, optionally,
+//! the in-flight word, and counts trailing ones (or zeros) per canonical
+//! run instead of probing each page.
 
 use sim_core::detmap::DetMap;
 use sim_core::time::SimTime;
 use sim_storage::chunked::ChunkedFile;
 use sim_storage::file::FileId;
 
+use crate::blocks::{self, FileBlocks};
 use crate::inflight::InflightIo;
 use crate::page_cache::PageCache;
 
@@ -105,6 +112,15 @@ impl ShareMap {
     }
 }
 
+/// What [`SharedPages::leading_run`] counts as a covered page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cover {
+    /// The page is cached.
+    Cached,
+    /// The page is cached, or a read of it is in flight.
+    CachedOrInflight,
+}
+
 /// The host's shared page state — page cache plus in-flight reads — with
 /// every operation keyed by canonical chunk identity via a [`ShareMap`].
 #[derive(Clone, Debug)]
@@ -154,7 +170,7 @@ impl SharedPages {
         self.cache.contains(f, p)
     }
 
-    /// Fault-path lookup: updates recency and hit/miss counters.
+    /// Fault-path lookup: refreshes the page's recency if cached.
     pub fn touch(&mut self, file: FileId, page: u64) -> bool {
         let (f, p) = self.share.canon(file, page);
         self.cache.touch(f, p)
@@ -197,6 +213,37 @@ impl SharedPages {
                 .for_each_resident(canon, page, n, |p| f(logical + (p - page)));
             logical += n;
         });
+    }
+
+    /// Length of the leading run of the logical window
+    /// `[start, start + len)` of `file` whose pages are all covered
+    /// (`covered` true) or all uncovered (`covered` false), where `cover`
+    /// says what covers a page.
+    pub fn leading_run(
+        &self,
+        file: FileId,
+        start: u64,
+        len: u64,
+        cover: Cover,
+        covered: bool,
+    ) -> u64 {
+        let mut run = 0;
+        let mut open = true;
+        self.share.for_each_run(file, start, len, |f, p, n| {
+            if !open {
+                return;
+            }
+            let cached = self.cache.blocks_of(f);
+            let pending = match cover {
+                Cover::Cached => None,
+                Cover::CachedOrInflight => self.inflight.blocks_of(f),
+            };
+            let word = |idx| word_of(cached, idx) | word_of(pending, idx);
+            let k = blocks::leading_run(p, n, covered, word);
+            run += k;
+            open = k == n;
+        });
+        run
     }
 
     /// Drops the entire cache (between-test hygiene).
@@ -251,6 +298,11 @@ impl SharedPages {
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
     }
+}
+
+/// Block `idx`'s presence word in `file`, 0 without blocks.
+fn word_of<T>(file: Option<&FileBlocks<T>>, idx: u64) -> u64 {
+    file.map_or(0, |f| f.word(idx))
 }
 
 #[cfg(test)]

@@ -4,19 +4,28 @@ benchmark (`benchmark/`).
 
 The run command, the workloads and each end-to-end metric's direction and
 bound come from BENCHMARK.json. A measurement runs every workload once at
-the trajectory seed for `run_seconds`, with tracing off.
+the trajectory seed for `run_seconds`, with tracing off. A point is the
+merge of RECORD_RUNS measurements: per workload, the digest and seed-pure
+metrics every run agrees on, and the median of each host metric, so one
+noisy run does not set the bar that every later change is judged by.
 
 Usage:
-  scripts/trajectory.py record     measure and write BENCH_<date>.json
-                                   (schema v3); a later point of the same
-                                   day is BENCH_<date>_<n>.json, n = 2, 3, ...
-                                   An existing point is never replaced.
+  scripts/trajectory.py record     measure RECORD_RUNS times and write the
+                                   merge as BENCH_<date>.json (schema v3);
+                                   a later point of the same day is
+                                   BENCH_<date>_<n>.json, n = 2, 3, ...
+                                   Writes nothing if a run failed an
+                                   operation or the runs disagree on a
+                                   digest or a seed-pure metric. An
+                                   existing point is never replaced.
   scripts/trajectory.py compare    measure and check the result against the
                                    newest schema-v3 BENCH_*.json tracked by
                                    git, newest by (date, n); writes nothing
   scripts/trajectory.py selftest   measure nothing; show on that point that
                                    the compare passes it against itself and
-                                   fails every regression it guards against
+                                   fails every regression it guards against,
+                                   and that the merge takes medians and
+                                   refuses failed or disagreeing runs
 
 Exit status of compare and selftest:
   0  every check passed.
@@ -37,6 +46,7 @@ import json
 import math
 import pathlib
 import re
+import statistics
 import subprocess
 import sys
 
@@ -46,6 +56,8 @@ SEED = 42
 EXACT = ("sim_ms_mean", "sim_ms_p99", "fidelity_err_pct")
 BOUNDED = ("ops_per_ref", "call_ref_p50", "peak_rss_mb")
 UNGATED = ("setup_s",)
+# Measurements merged into one recorded point.
+RECORD_RUNS = 3
 DIGEST_LINE = re.compile(r"^attempted \d+ failed \d+ digest ([0-9a-f]{16})$")
 POINT_NAME = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})(?:_(\d+))?\.json$")
 
@@ -101,13 +113,46 @@ def run_workload(spec, metrics, name):
 
 
 def measure(spec, metrics):
+    """Every workload's result of one run."""
+    return {w["name"]: run_workload(spec, metrics, w["name"])
+            for w in spec["workloads"]}
+
+
+def as_point(spec, metrics, results):
     return {
         "schema_version": 3,
         "date": datetime.date.today().isoformat(),
         "config": config(spec, metrics),
-        "results": {w["name"]: run_workload(spec, metrics, w["name"])
-                    for w in spec["workloads"]},
+        "results": results,
     }
+
+
+def merge(runs):
+    """(results, refusals) of measurements `runs`: per workload, the first
+    run's seed-pure fields with the median of each host metric and of
+    `attempted`; and why the runs cannot make a point, if they cannot: an
+    operation failed, or they disagree on the digest or an EXACT metric."""
+    results, refusals = {}, []
+    for name in runs[0]:
+        rs = [run[name] for run in runs]
+        for i, r in enumerate(rs, 1):
+            if not r["correct"] or r["failed"]:
+                refusals.append(f"{name}: run {i}: {r['failed']} of "
+                                f"{r['attempted']} operations failed")
+        digests = sorted({r["digest"] for r in rs})
+        if len(digests) > 1:
+            refusals.append(f"{name}: the runs disagree on the digest: "
+                            f"{', '.join(digests)}")
+        for m in EXACT:
+            values = sorted({r["metrics"][m] for r in rs})
+            if len(values) > 1:
+                refusals.append(f"{name}: the runs disagree on {m}: {values}")
+        merged = copy.deepcopy(rs[0])
+        merged["attempted"] = statistics.median_low(r["attempted"] for r in rs)
+        for m in BOUNDED + UNGATED:
+            merged["metrics"][m] = statistics.median(r["metrics"][m] for r in rs)
+        results[name] = merged
+    return results, refusals
 
 
 def point_order(name):
@@ -244,6 +289,7 @@ def selftest(point, metrics):
         status = verdict(point, run, metrics)[0]
         if status != expected:
             wrong.append(f"{what}: exit {status}, expected {expected}")
+    wrong += merge_selftest(point["results"])
     # Oldest first. As strings, _10 would sort before _2.
     names = ["BENCH_2026-10-17.json", "BENCH_2026-10-17_2.json",
              "BENCH_2026-10-17_10.json", "BENCH_2026-10-18.json"]
@@ -253,17 +299,47 @@ def selftest(point, metrics):
     return len(cases), wrong
 
 
+def merge_selftest(results):
+    """What the merge gets wrong on copies of `results`: three runs whose
+    host metrics are 1x, 5x and 2x the point's must merge to 2x with the
+    seed-pure fields untouched, and one failed operation, one changed
+    digest or one changed EXACT metric in any run must refuse the point."""
+    def run(scale):
+        r = copy.deepcopy(results)
+        for result in r.values():
+            for m in BOUNDED + UNGATED:
+                result["metrics"][m] *= scale
+        return r
+
+    wrong = []
+    merged, refusals = merge([run(1), run(5), run(2)])
+    if refusals or merged != run(2):
+        wrong.append(f"merge of 1x, 5x and 2x runs: refused {refusals} or "
+                     f"not the 2x run")
+    name = next(iter(results))
+    m = EXACT[0]
+    bad = [(("failed",), 1), (("digest",),
+                              format(int(results[name]["digest"], 16) ^ 1, "016x")),
+           (("metrics", m), math.nextafter(results[name]["metrics"][m], math.inf))]
+    for path, value in bad:
+        changed = mutant(run(1), (name,) + path, value)
+        if not merge([run(1), changed, run(1)])[1]:
+            wrong.append(f"merge accepted a run with {name} {'.'.join(path)} "
+                         f"set to {value}")
+    return wrong
+
+
 def main():
     if len(sys.argv) != 2 or sys.argv[1] not in ("record", "compare", "selftest"):
         die("usage: scripts/trajectory.py record|compare|selftest")
     mode = sys.argv[1]
     spec, metrics = load_spec()
     if mode == "record":
-        run = measure(spec, metrics)
-        failed = [n for n, r in run["results"].items()
-                  if not r["correct"] or r["failed"]]
-        if failed:
-            die(f"not recording a point: operations failed in {failed}", 1)
+        results, refusals = merge([measure(spec, metrics)
+                                   for _ in range(RECORD_RUNS)])
+        if refusals:
+            die("not recording a point:\n  " + "\n  ".join(refusals), 1)
+        run = as_point(spec, metrics, results)
         path = new_point_path(run["date"])
         # Mode "x" fails rather than replace a point written meanwhile.
         with open(path, "x") as out:
@@ -279,13 +355,15 @@ def main():
               f"against itself and trips on all {total - 1} changed copies (on "
               f"every workload each host metric 2x worse, each seed-pure metric "
               f"and the digest changed, one failed operation; another seed, "
-              f"seconds or workload set), and points order by (date, n)")
+              f"seconds or workload set), points order by (date, n), and the "
+              f"merge of {RECORD_RUNS} runs takes medians and refuses a failed "
+              f"operation, a changed digest or a changed seed-pure metric")
         return
     why = mismatch(point["config"], config(spec, metrics))
     if why:
         die(f"refusing to compare against {name}, a different experiment:\n  "
             + "\n  ".join(why), 3)
-    run = measure(spec, metrics)
+    run = as_point(spec, metrics, measure(spec, metrics))
     print_table(point, run, metrics)
     status, failures = verdict(point, run, metrics)
     if status:

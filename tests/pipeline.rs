@@ -258,3 +258,70 @@ fn record_phase_outputs_are_pinned() {
         "record-phase outputs drifted"
     );
 }
+
+/// Total time, major and minor faults of Vanilla, FaaSnap and Cached
+/// restores of hello-world (input B) on a freshly recorded platform whose
+/// test-phase page cache holds `budget` pages, or the default 160 GB.
+fn hello_world_under_cache(budget: Option<u64>) -> Vec<(u64, u64, u64)> {
+    let (mut p, f) = recorded_platform("hello-world");
+    if let Some(pages) = budget {
+        p.host_mut()
+            .pages
+            .set_cache(sim_mm::page_cache::PageCache::new(pages));
+    }
+    [
+        RestoreStrategy::Vanilla,
+        RestoreStrategy::faasnap(),
+        RestoreStrategy::Cached,
+    ]
+    .into_iter()
+    .map(|s| {
+        let r = p
+            .try_invoke("hello-world", "t", &f.input_b(), s)
+            .unwrap()
+            .report;
+        (r.total_time().as_nanos(), r.major_faults, r.minor_faults)
+    })
+    .collect()
+}
+
+#[test]
+fn restore_under_cache_pressure_is_pinned() {
+    // Caches of 4,096 and 2,048 pages (16 and 8 MiB) cannot hold
+    // hello-world's 7,309-page loading set, let alone the 2 GiB memory
+    // file that Cached warms, so each restore evicts in LRU order while it
+    // runs: pages the loader prefetched are gone before the guest touches
+    // them, and FaaSnap falls back toward demand paging. Eviction order
+    // decides which faults turn major, so times and fault counts are
+    // pinned: (total ns, major, minor) for Vanilla, FaaSnap and Cached.
+    let unlimited = hello_world_under_cache(None);
+    let pinned = [
+        (
+            4096,
+            vec![
+                (165_078_675, 1087, 1926),
+                (146_506_423, 859, 2154),
+                (166_133_237, 1087, 1926),
+            ],
+        ),
+        (
+            2048,
+            vec![
+                (165_478_247, 1091, 1922),
+                (165_226_448, 1064, 1949),
+                (166_727_398, 1091, 1922),
+            ],
+        ),
+    ];
+    for (budget, want) in pinned {
+        let got = hello_world_under_cache(Some(budget));
+        assert_eq!(got, want, "restores under a {budget}-page cache drifted");
+        assert_ne!(got, unlimited, "a {budget}-page cache must evict");
+        for (s, u) in got.iter().zip(&unlimited) {
+            assert!(
+                s.1 >= u.1,
+                "eviction cannot save a major fault: {s:?} vs {u:?}"
+            );
+        }
+    }
+}
