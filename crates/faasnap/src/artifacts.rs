@@ -49,8 +49,8 @@ impl Default for RecordOptions {
 }
 
 /// Everything the record phase produces. The frozen parts (the snapshot
-/// image and the three page sets) are shared, so every spec built from
-/// the artifacts holds them by handle.
+/// image and its non-zero regions, and the three page sets) are shared, so
+/// every spec built from the artifacts holds them by handle.
 #[derive(Clone, Debug)]
 pub struct SnapshotArtifacts {
     /// The warm snapshot (memory contents after the record invocation,
@@ -73,14 +73,14 @@ pub struct SnapshotArtifacts {
 impl SnapshotArtifacts {
     /// Builds an [`InvocationSpec`] for a test-phase invocation of
     /// `trace` under `strategy`, wiring in the right artifacts. The spec
-    /// shares the snapshot image and page sets; it copies none of them.
+    /// shares the snapshot image, its non-zero regions and the page sets;
+    /// it copies and scans none of them.
     pub fn spec(&self, strategy: RestoreStrategy, trace: Trace) -> InvocationSpec {
-        // `InvocationSpec::new` scans the snapshot's frozen memory for
-        // the non-zero regions.
-        let mut spec = InvocationSpec::new(
+        let mut spec = InvocationSpec::with_regions(
             strategy,
             trace,
             self.snapshot.restored_memory(),
+            self.snapshot.nonzero_regions(),
             self.snapshot.mem_file(),
         );
         spec.ls = Some(Rc::clone(&self.ls));
@@ -114,10 +114,11 @@ pub fn record_phase(
 
     // Record invocation: vanilla restore, sanitization + recording on.
     host.drop_caches();
-    let mut spec = InvocationSpec::new(
+    let mut spec = InvocationSpec::with_regions(
         RestoreStrategy::Vanilla,
         record_trace,
         clean.restored_memory(),
+        clean.nonzero_regions(),
         clean.mem_file(),
     );
     spec.sanitize = true;
@@ -285,7 +286,11 @@ mod tests {
         assert!(spec.ws.is_some());
         assert!(spec.reap_ws.is_some());
         assert_eq!(spec.mem_file, a.snapshot.mem_file());
-        assert_eq!(spec.nonzero_regions, a.snapshot.nonzero_regions());
+        assert_eq!(*spec.nonzero_regions, a.snapshot.memory().nonzero_regions());
+        assert!(Rc::ptr_eq(
+            &spec.nonzero_regions,
+            &a.snapshot.nonzero_regions()
+        ));
         assert!(spec.verify_mappings);
     }
 

@@ -8,6 +8,12 @@
 //! §4.7: "FaaSnap sorts the loading set regions first by their group
 //! numbers, then by their addresses" into a compact loading-set file,
 //! which the daemon loader then reads strictly sequentially.
+//!
+//! The regions are disjoint, so a guest page lies in at most one. Besides
+//! the file-order list, a [`LoadingSet`] keeps the positions of its
+//! regions in guest order, and [`LoadingSet::covers`] and
+//! [`LoadingSet::file_page_of`] (which the runtime's mapping verification
+//! calls on every loading-set fault) binary-search that index.
 
 use std::collections::BTreeSet;
 
@@ -35,6 +41,8 @@ pub struct LsRegion {
 #[derive(Clone, Debug, Default)]
 pub struct LoadingSet {
     regions: Vec<LsRegion>,
+    /// Indices into `regions` in guest-address order, for page lookups.
+    by_guest: Vec<u32>,
     file_pages: u64,
     /// Loading-set pages before merging (for the §4.6 accounting).
     core_pages: u64,
@@ -99,8 +107,12 @@ impl LoadingSet {
                 region
             })
             .collect();
+        // A region holds at least one guest page, so positions fit in u32.
+        let mut by_guest: Vec<u32> = (0..regions.len() as u32).collect();
+        by_guest.sort_unstable_by_key(|&i| regions.get(i as usize).map(|r| r.guest.start));
         LoadingSet {
             regions,
+            by_guest,
             file_pages: file_cursor,
             core_pages,
             unmerged_regions,
@@ -144,7 +156,7 @@ impl LoadingSet {
 
     /// True if `page` is covered by some region.
     pub fn covers(&self, page: PageNum) -> bool {
-        self.regions.iter().any(|r| r.guest.contains(page))
+        self.region_of(page).is_some()
     }
 
     /// The set of all guest pages covered (including merged gaps),
@@ -155,10 +167,21 @@ impl LoadingSet {
 
     /// The file page backing a guest page, if covered.
     pub fn file_page_of(&self, page: PageNum) -> Option<u64> {
-        self.regions
-            .iter()
-            .find(|r| r.guest.contains(page))
+        self.region_of(page)
             .map(|r| r.file_start + (page - r.guest.start))
+    }
+
+    /// The region covering `page`, by binary search of the guest-ordered
+    /// index.
+    fn region_of(&self, page: PageNum) -> Option<&LsRegion> {
+        let region = |i: &u32| self.regions.get(*i as usize);
+        let idx = self
+            .by_guest
+            .partition_point(|i| region(i).is_some_and(|r| r.guest.end <= page));
+        self.by_guest
+            .get(idx)
+            .and_then(region)
+            .filter(|r| r.guest.contains(page))
     }
 }
 

@@ -324,8 +324,9 @@ pub struct InvocationSpec {
     pub memory: Rc<GuestMemory>,
     /// The snapshot memory file.
     pub mem_file: FileId,
-    /// Non-zero regions of the memory file (from the post-record scan).
-    pub nonzero_regions: Vec<PageRange>,
+    /// Non-zero regions of the memory file (from the post-record scan),
+    /// shared like the image.
+    pub nonzero_regions: Rc<Vec<PageRange>>,
     /// The loading set (FaaSnap strategies).
     pub ls: Option<Rc<LoadingSet>>,
     /// The loading-set file (FaaSnap with `loading_set_file`).
@@ -369,7 +370,8 @@ pub struct MmDelaySpec {
 
 impl InvocationSpec {
     /// A minimal spec for `strategy` over a bare snapshot. `memory` is an
-    /// owned image or a handle to a shared one.
+    /// owned image or a handle to a shared one; its non-zero regions are
+    /// scanned here.
     pub fn new(
         strategy: RestoreStrategy,
         trace: Trace,
@@ -377,7 +379,19 @@ impl InvocationSpec {
         mem_file: FileId,
     ) -> Self {
         let memory = memory.into();
-        let nonzero_regions = memory.nonzero_regions();
+        let nonzero_regions = Rc::new(memory.nonzero_regions());
+        Self::with_regions(strategy, trace, memory, nonzero_regions, mem_file)
+    }
+
+    /// [`InvocationSpec::new`] over an image whose non-zero regions were
+    /// scanned once already: specs of one snapshot share them by handle.
+    pub(crate) fn with_regions(
+        strategy: RestoreStrategy,
+        trace: Trace,
+        memory: Rc<GuestMemory>,
+        nonzero_regions: Rc<Vec<PageRange>>,
+        mem_file: FileId,
+    ) -> Self {
         InvocationSpec {
             strategy,
             trace,
@@ -722,7 +736,7 @@ fn prepare_vm(
         RestoreStrategy::Warm => {
             // Live VM: anonymous memory, previously touched pages resident.
             mapper::map_warm(&mut aspace, total_pages);
-            for r in &spec.nonzero_regions {
+            for r in spec.nonzero_regions.iter() {
                 pt.set_range(*r, PageState::Mapped);
             }
             if let Some(ws) = &spec.ws {
@@ -1206,7 +1220,7 @@ impl SimWorld<'_> {
     ) -> bool {
         let page = access.page;
         let v = &mut self.vms[vm];
-        let (outcome, ctx) = v.resolver.resolve_traced(
+        let (outcome, resolved, ctx) = v.resolver.resolve_traced(
             page,
             &v.aspace,
             &mut v.pt,
@@ -1221,7 +1235,7 @@ impl SimWorld<'_> {
                 t.on_fault(page);
             }
             if v.verify_mappings {
-                verify_mapping(v, page);
+                verify_mapping(v, page, resolved);
             }
         }
         match outcome {
@@ -1500,14 +1514,16 @@ impl SimWorld<'_> {
         if guest_start >= v.pt.total_pages() {
             return;
         }
-        match v.aspace.resolve(guest_start) {
-            Some(Resolved::File { file: f, file_page }) if f == file && file_page == file_start => {
-            }
+        let Some(vma) = v.aspace.lookup(guest_start) else {
+            return;
+        };
+        match vma.resolve(guest_start) {
+            Resolved::File { file: f, file_page } if f == file && file_page == file_start => {}
             _ => return,
         }
         // Clamp to the mapping extent and trim at cached or in-flight
         // pages.
-        let room = v.aspace.contiguous_extent(guest_start, io.pages);
+        let room = (vma.range.end - guest_start).min(io.pages);
         let pages =
             self.host
                 .pages
@@ -1690,9 +1706,11 @@ fn book_injection(metrics: &Metrics, faults: &mut FaultReport, f: InjectedFault)
 /// Verifies the mapping serves the right bytes for a faulting page:
 /// memory-file mappings must preserve offsets, loading-set mappings must
 /// match the recorded file layout, and anonymous mappings may only cover
-/// pages whose snapshot content is zero.
-fn verify_mapping(v: &VmRun, page: PageNum) {
-    match v.aspace.resolve(page) {
+/// pages whose snapshot content is zero. `resolved` is the backing the
+/// fault planner found for `page`; a fault that looked no mapping up (a
+/// host-PTE fault) passes `None` and is looked up here.
+fn verify_mapping(v: &VmRun, page: PageNum, resolved: Option<Resolved>) {
+    match resolved.or_else(|| v.aspace.resolve(page)) {
         Some(Resolved::File { file, file_page }) if file == v.mem_file => {
             assert_eq!(
                 file_page, page,
@@ -2108,7 +2126,7 @@ mod tests {
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Vanilla, touch_trace(100, 5, false), mem, f);
         // Sabotage: map the file with a shifted offset.
-        spec.nonzero_regions.clear();
+        spec.nonzero_regions = Rc::default();
         let out_aspace_bug = spec.clone();
         let _ = out_aspace_bug;
         // Build a custom broken world by mapping manually through the
@@ -2125,7 +2143,7 @@ mod tests {
         // check fires on a page the mapper thinks is zero. Use FaaSnap
         // mapping to trigger it.
         spec.strategy = RestoreStrategy::faasnap();
-        spec.nonzero_regions = vec![PageRange::new(100, 300)]; // stale scan
+        spec.nonzero_regions = Rc::new(vec![PageRange::new(100, 300)]); // stale scan
         let mut ws = WorkingSet::new();
         ws.extend(&[100]);
         let ls = LoadingSet::build(&ws, &spec.memory, 0);

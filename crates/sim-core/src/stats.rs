@@ -56,15 +56,14 @@ impl Log2Histogram {
         self.total_ns += ns;
         self.count += 1;
         self.max_ns = self.max_ns.max(ns);
-        let us = ns as f64 / 1000.0;
-        if us < 0.5 {
+        if ns < 500 {
             self.lo += 1;
-        } else if us >= 512.0 {
+        } else if ns >= 512_000 {
             self.hi += 1;
         } else {
-            // First bucket edge is 0.5 µs = 2^-1.
-            let idx = (us.log2().floor() as i32 + 1).clamp(0, 10) as usize;
-            self.buckets[idx] += 1;
+            // Bucket `i` holds [0.5·2^i, 0.5·2^(i+1)) µs, so its index is
+            // the integer log2 of the sample in units of 0.5 µs.
+            self.buckets[(ns / 500).ilog2() as usize] += 1;
         }
     }
 
@@ -323,6 +322,33 @@ mod tests {
         assert_eq!(rows[7].1, 1, "[32,64)");
         assert_eq!(rows[12].1, 1, "hi");
         assert_eq!(h.count(), 8);
+    }
+
+    #[test]
+    fn integer_buckets_match_the_float_formula() {
+        // The float bucketing `record` replaced: log2 of microseconds.
+        let float_bucket = |ns: u64| {
+            let us = ns as f64 / 1000.0;
+            if us < 0.5 {
+                None
+            } else if us >= 512.0 {
+                Some(11)
+            } else {
+                Some((us.log2().floor() as i32 + 1).clamp(0, 10) as usize)
+            }
+        };
+        let mut h = Log2Histogram::new();
+        for ns in 0..=2_000_000u64 {
+            let before = (h.lo, h.buckets, h.hi);
+            h.record(SimDuration::from_nanos(ns));
+            match float_bucket(ns) {
+                None => assert_eq!(h.lo, before.0 + 1, "{ns} ns below 0.5 us"),
+                Some(11) => assert_eq!(h.hi, before.2 + 1, "{ns} ns at or above 512 us"),
+                Some(i) => assert_eq!(h.buckets[i], before.1[i] + 1, "{ns} ns in bucket {i}"),
+            }
+        }
+        let bucketed: u64 = h.buckets.iter().sum();
+        assert_eq!(h.lo + bucketed + h.hi, h.count(), "one counter per sample");
     }
 
     #[test]

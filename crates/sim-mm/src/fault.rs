@@ -16,6 +16,12 @@
 //! 4. anonymous VMA → zero-fill fault;
 //! 5. file-backed, cached → minor fault;
 //! 6. file-backed, uncached → major fault with readahead.
+//!
+//! Each fault looks its page's VMA up once. The major-fault window is
+//! clamped by that VMA's extent, and the resolved backing location goes
+//! back to the caller beside the plan, so the runtime's mapping
+//! verification checks the same resolution instead of looking it up
+//! again. Only a host-PTE fault resolves no mapping.
 
 use faasnap_obs::{SelfProfile, TraceContext, Tracer};
 use sim_core::detmap::DetMap;
@@ -30,7 +36,7 @@ use crate::costs::FaultCosts;
 use crate::page_table::{PageState, PageTable};
 use crate::share::{Cover, SharedPages};
 use crate::userfaultfd::UffdRegistry;
-use crate::vma::{AddressSpace, Resolved};
+use crate::vma::{AddressSpace, Resolved, Vma};
 
 /// The class of a handled fault, for accounting (Figure 2, Figure 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -216,7 +222,9 @@ impl FaultResolver {
         &self.costs
     }
 
-    /// Plans the resolution of a guest access to `page`.
+    /// Plans the resolution of a guest access to `page`, and returns the
+    /// plan with the backing location of `page` it resolved: `None` when
+    /// it looked no mapping up (no fault, or a host-PTE fault).
     ///
     /// For `Resolved` outcomes the page table is updated here; for
     /// `NeedsIo` and `Userfault` the runtime installs the page when the
@@ -228,8 +236,8 @@ impl FaultResolver {
         pt: &mut PageTable,
         pages: &mut SharedPages,
         uffd: &UffdRegistry,
-    ) -> FaultOutcome {
-        let outcome = self.plan(page, aspace, pt, pages, uffd);
+    ) -> (FaultOutcome, Option<Resolved>) {
+        let (outcome, resolved) = self.plan(page, aspace, pt, pages, uffd);
         if self.selfprof.is_enabled() {
             self.selfprof.inc("mm/resolve_calls");
             // Map-op estimates per outcome: a state lookup, plus the
@@ -247,7 +255,7 @@ impl FaultResolver {
             self.selfprof.inc(name);
             self.selfprof.add("mm/map_ops", map_ops);
         }
-        outcome
+        (outcome, resolved)
     }
 
     fn plan(
@@ -257,9 +265,9 @@ impl FaultResolver {
         pt: &mut PageTable,
         pages: &mut SharedPages,
         uffd: &UffdRegistry,
-    ) -> FaultOutcome {
+    ) -> (FaultOutcome, Option<Resolved>) {
         if !pt.faults_on(page) {
-            return FaultOutcome::NoFault;
+            return (FaultOutcome::NoFault, None);
         }
 
         // Prefetched pages fault cheaply even under uffd registration: the
@@ -267,30 +275,28 @@ impl FaultResolver {
         if pt.state(page) == PageState::HostPte {
             pt.install(page);
             let cost = self.costs.host_pte_fault(&mut self.rng);
-            return FaultOutcome::Resolved {
+            let outcome = FaultOutcome::Resolved {
                 cost: self.inject_delay(cost),
                 kind: FaultKind::HostPte,
             };
+            return (outcome, None);
         }
 
-        let resolved = aspace
-            .resolve(page)
+        let vma = aspace
+            .lookup(page)
             .unwrap_or_else(|| panic!("guest fault on unmapped page {page}"));
+        let resolved = vma.resolve(page);
 
-        if uffd.covers(page) {
-            let (file, file_page) = match resolved {
-                Resolved::File { file, file_page } => (file, file_page),
-                // uffd over an anonymous range: the handler still serves
-                // the fault; it has no backing file page. REAP always
-                // registers over a file mapping, so treat this as a bug.
-                Resolved::Anonymous => {
-                    panic!("userfaultfd over anonymous mapping is not modeled")
-                }
-            };
-            return FaultOutcome::Userfault { file, file_page };
-        }
-
-        match resolved {
+        let outcome = match resolved {
+            Resolved::File { file, file_page } if uffd.covers(page) => {
+                FaultOutcome::Userfault { file, file_page }
+            }
+            // uffd over an anonymous range: the handler still serves the
+            // fault; it has no backing file page. REAP always registers
+            // over a file mapping, so treat this as a bug.
+            Resolved::Anonymous if uffd.covers(page) => {
+                panic!("userfaultfd over anonymous mapping is not modeled")
+            }
             Resolved::Anonymous => {
                 pt.install(page);
                 let cost = self.costs.anon_fault(&mut self.rng);
@@ -316,7 +322,7 @@ impl FaultResolver {
                         cost: self.inject_delay(cost),
                     }
                 } else {
-                    let (io, async_io) = self.plan_major(page, file, file_page, aspace, pages);
+                    let (io, async_io) = self.plan_major(page, file, file_page, vma, aspace, pages);
                     let overhead = self.costs.major_overhead(&mut self.rng);
                     FaultOutcome::NeedsIo {
                         io,
@@ -325,7 +331,8 @@ impl FaultResolver {
                     }
                 }
             }
-        }
+        };
+        (outcome, Some(resolved))
     }
 
     /// [`FaultResolver::resolve`] plus span emission: opens a `fault/*`
@@ -333,7 +340,8 @@ impl FaultResolver {
     /// The returned context is carried on the completion event and ended
     /// by the runtime when the fault is installed; it is
     /// [`TraceContext::NONE`] for `NoFault` or when tracing is disabled,
-    /// so untraced callers pay nothing.
+    /// so untraced callers pay nothing. The resolved backing location is
+    /// returned as by `resolve`.
     #[allow(clippy::too_many_arguments)]
     pub fn resolve_traced(
         &mut self,
@@ -344,10 +352,10 @@ impl FaultResolver {
         uffd: &UffdRegistry,
         now: SimTime,
         parent: TraceContext,
-    ) -> (FaultOutcome, TraceContext) {
-        let outcome = self.resolve(page, aspace, pt, pages, uffd);
+    ) -> (FaultOutcome, Option<Resolved>, TraceContext) {
+        let (outcome, resolved) = self.resolve(page, aspace, pt, pages, uffd);
         if !self.tracer.is_enabled() {
-            return (outcome, TraceContext::NONE);
+            return (outcome, resolved, TraceContext::NONE);
         }
         let ctx = match &outcome {
             FaultOutcome::NoFault => TraceContext::NONE,
@@ -369,19 +377,20 @@ impl FaultResolver {
         if !ctx.is_none() {
             self.tracer.tag(ctx, "page", page);
         }
-        (outcome, ctx)
+        (outcome, resolved, ctx)
     }
 
     /// Computes the readahead window for a major fault: starts at the
-    /// faulting file page, clamped to the VMA extent and trimmed at the
-    /// first already-cached page so the device read stays contiguous.
-    /// For sequential streams (grown window) it also plans the *next*
-    /// window as a non-blocking async read.
+    /// faulting file page, clamped to the extent of `vma` (the faulting
+    /// page's mapping) and trimmed at the first already-cached page so the
+    /// device read stays contiguous. For sequential streams (grown window)
+    /// it also plans the *next* window as a non-blocking async read.
     fn plan_major(
         &mut self,
         page: PageNum,
         file: FileId,
         file_page: u64,
+        vma: &Vma,
         aspace: &AddressSpace,
         pages_state: &SharedPages,
     ) -> (IoRequest, Option<IoRequest>) {
@@ -396,7 +405,7 @@ impl FaultResolver {
         // Clamp to the contiguous extent of the mapping so the window
         // never crosses into a different VMA (FaaSnap's per-region
         // mappings naturally bound readahead to each region).
-        let vma_limit = aspace.contiguous_extent(page, len).max(1);
+        let vma_limit = (vma.range.end - page).min(len).max(1);
 
         // Trim at the first cached page after the faulting one to keep the
         // read contiguous.
@@ -416,7 +425,16 @@ impl FaultResolver {
         let mut async_io = None;
         if sequential_stream && pages == len {
             let a_start = file_page + pages;
-            let room = aspace.contiguous_extent(page + pages, len).min(len);
+            // The async window is clamped by the mapping at the guest page
+            // after the sync window: still `vma` unless the sync window
+            // ended exactly at its end.
+            let next = page + pages;
+            let room = if next < vma.range.end {
+                vma.range.end - next
+            } else {
+                aspace.lookup(next).map_or(0, |v| v.range.end - next)
+            }
+            .min(len);
             let a_pages =
                 pages_state.leading_run(file, a_start, room, Cover::CachedOrInflight, false);
             if a_pages > 0 {
@@ -462,7 +480,7 @@ mod tests {
         pt.install(5);
         assert!(matches!(
             r.resolve(5, &a, &mut pt, &mut c, &u),
-            FaultOutcome::NoFault
+            (FaultOutcome::NoFault, None)
         ));
     }
 
@@ -470,7 +488,7 @@ mod tests {
     fn anon_fault_resolves_and_installs() {
         let (mut a, mut pt, mut c, u, mut r) = setup(100);
         a.map_fixed(PageRange::new(0, 100), Backing::Anonymous);
-        match r.resolve(7, &a, &mut pt, &mut c, &u) {
+        match r.resolve(7, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::Resolved {
                 kind: FaultKind::Anon,
                 cost,
@@ -493,7 +511,7 @@ mod tests {
             },
         );
         c.insert(FileId(1), 10);
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::Resolved {
                 kind: FaultKind::Minor,
                 ..
@@ -513,7 +531,7 @@ mod tests {
                 offset_page: 0,
             },
         );
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::NeedsIo { io, overhead, .. } => {
                 assert_eq!(io.file, FileId(1));
                 assert_eq!(io.page, 10);
@@ -537,7 +555,7 @@ mod tests {
                 offset_page: 0,
             },
         );
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::NeedsIo { io, .. } => assert_eq!(io.pages, 2),
             other => panic!("{other:?}"),
         }
@@ -554,7 +572,7 @@ mod tests {
             },
         );
         c.insert(FileId(1), 13);
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::NeedsIo { io, .. } => {
                 assert_eq!(io.pages, 3, "trim before cached page 13")
             }
@@ -572,7 +590,7 @@ mod tests {
                 offset_page: 7,
             },
         );
-        match r.resolve(55, &a, &mut pt, &mut c, &u) {
+        match r.resolve(55, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::NeedsIo { io, .. } => {
                 assert_eq!(io.file, FileId(2));
                 assert_eq!(io.page, 12);
@@ -593,12 +611,67 @@ mod tests {
         );
         let sizes: Vec<u64> = [0u64, 4, 12]
             .iter()
-            .map(|&p| match r.resolve(p, &a, &mut pt, &mut c, &u) {
+            .map(|&p| match r.resolve(p, &a, &mut pt, &mut c, &u).0 {
                 FaultOutcome::NeedsIo { io, .. } => io.pages,
                 other => panic!("{other:?}"),
             })
             .collect();
         assert_eq!(sizes, vec![4, 8, 16]);
+    }
+
+    #[test]
+    fn async_window_clamped_by_the_next_mapping() {
+        let (mut a, mut pt, mut c, u, mut r) = setup(100);
+        let file = |id| Backing::File {
+            file: FileId(id),
+            offset_page: 0,
+        };
+        a.map_fixed(PageRange::new(0, 12), file(1));
+        a.map_fixed(PageRange::new(12, 14), file(2));
+        assert!(matches!(
+            r.resolve(0, &a, &mut pt, &mut c, &u).0,
+            FaultOutcome::NeedsIo { async_io: None, .. }
+        ));
+        // The grown 8-page window ends exactly at the first mapping's end,
+        // so the async window is clamped by the mapping after it.
+        match r.resolve(4, &a, &mut pt, &mut c, &u).0 {
+            FaultOutcome::NeedsIo { io, async_io, .. } => {
+                assert_eq!((io.page, io.pages), (4, 8));
+                let aio = async_io.expect("sequential stream reads ahead");
+                assert_eq!((aio.file, aio.page, aio.pages), (FileId(1), 12, 2));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn resolution_is_returned_beside_the_plan() {
+        let (mut a, mut pt, mut c, mut u, mut r) = setup(100);
+        a.map_fixed(PageRange::new(0, 100), Backing::Anonymous);
+        a.map_fixed(
+            PageRange::new(50, 100),
+            Backing::File {
+                file: FileId(1),
+                offset_page: 10,
+            },
+        );
+        u.register(PageRange::new(90, 100));
+        pt.set_state(60, PageState::HostPte);
+        let file_page = |file_page| {
+            Some(Resolved::File {
+                file: FileId(1),
+                file_page,
+            })
+        };
+        assert_eq!(
+            r.resolve(7, &a, &mut pt, &mut c, &u).1,
+            Some(Resolved::Anonymous)
+        );
+        assert_eq!(r.resolve(55, &a, &mut pt, &mut c, &u).1, file_page(15));
+        assert_eq!(r.resolve(95, &a, &mut pt, &mut c, &u).1, file_page(55));
+        // Installed pages and host PTEs resolve no mapping.
+        assert_eq!(r.resolve(7, &a, &mut pt, &mut c, &u).1, None);
+        assert_eq!(r.resolve(60, &a, &mut pt, &mut c, &u).1, None);
     }
 
     #[test]
@@ -612,7 +685,7 @@ mod tests {
             },
         );
         u.register(PageRange::new(0, 100));
-        match r.resolve(33, &a, &mut pt, &mut c, &u) {
+        match r.resolve(33, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::Userfault { file, file_page } => {
                 assert_eq!(file, FileId(1));
                 assert_eq!(file_page, 33);
@@ -633,7 +706,7 @@ mod tests {
         );
         u.register(PageRange::new(0, 100));
         pt.set_state(20, PageState::HostPte);
-        match r.resolve(20, &a, &mut pt, &mut c, &u) {
+        match r.resolve(20, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::Resolved {
                 kind: FaultKind::HostPte,
                 cost,
@@ -656,7 +729,7 @@ mod tests {
         );
         let ready = sim_core::time::SimTime::from_nanos(50_000);
         c.insert_window(FileId(1), 8, 8, ready);
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::WaitInflight { ready_at, cost } => {
                 assert_eq!(ready_at, ready);
                 assert!(cost.as_micros_f64() < 15.0);
@@ -665,7 +738,7 @@ mod tests {
         }
         // A page outside the window still plans its own IO.
         assert!(matches!(
-            r.resolve(40, &a, &mut pt, &mut c, &u),
+            r.resolve(40, &a, &mut pt, &mut c, &u).0,
             FaultOutcome::NeedsIo { .. }
         ));
     }
@@ -680,7 +753,7 @@ mod tests {
                 r.set_delay_injection(7, 1.0, extra, 2);
             }
             let costs: Vec<SimDuration> = (0..4)
-                .map(|p| match r.resolve(p, &a, &mut pt, &mut c, &u) {
+                .map(|p| match r.resolve(p, &a, &mut pt, &mut c, &u).0 {
                     FaultOutcome::Resolved { cost, .. } => cost,
                     other => panic!("{other:?}"),
                 })
@@ -728,7 +801,7 @@ mod tests {
         r.set_self_profile(prof.clone());
         // Major (plans a 4-page window), then the same page again → NoFault
         // after install, then a cached page → minor.
-        match r.resolve(10, &a, &mut pt, &mut c, &u) {
+        match r.resolve(10, &a, &mut pt, &mut c, &u).0 {
             FaultOutcome::NeedsIo { .. } => pt.install(10),
             other => panic!("{other:?}"),
         }

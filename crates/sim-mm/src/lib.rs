@@ -8,7 +8,9 @@
 //!   including `MAP_FIXED` overlay semantics used by FaaSnap's
 //!   *hierarchical overlapping mappings* (§4.8): an anonymous base mapping,
 //!   non-zero regions overlaid onto the memory file, and loading-set
-//!   regions overlaid onto the loading-set file.
+//!   regions overlaid onto the loading-set file. The VMAs sit in one
+//!   sorted vector behind a last-hit cursor, so a fault's lookup is
+//!   usually one or two comparisons.
 //! - [`page_table`] — per-address-space page presence (three states:
 //!   unmapped, host-PTE-only as after `UFFDIO_COPY`, fully mapped) and RSS
 //!   accounting.

@@ -14,8 +14,17 @@
 //! number of `mmap` calls is tracked because mapping-setup overhead is part
 //! of the paper's motivation for region merging (§4.6: >1000 regions for
 //! hello-world before merging, <100 after).
+//!
+//! The disjoint VMAs live in one vector sorted by start page. Every
+//! host-visible guest fault looks its page up, and a FaaSnap VM holds
+//! hundreds of VMAs, so [`AddressSpace::lookup`] first checks the VMA it
+//! returned last and that VMA's successor, and binary-searches only when
+//! both miss — the last-hit cache Linux keeps in front of `find_vma`.
+//! The cursor is a hint: a lookup always checks that the VMA contains the
+//! page, so a stale cursor (after a remap) costs a search, never a wrong
+//! answer.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 use sim_storage::file::FileId;
 
@@ -96,10 +105,14 @@ pub enum Resolved {
     },
 }
 
-/// The VMM's guest-memory address space: disjoint VMAs keyed by start page.
+/// The VMM's guest-memory address space: disjoint VMAs sorted by start
+/// page, behind a last-hit cursor.
 #[derive(Clone, Debug, Default)]
 pub struct AddressSpace {
-    vmas: BTreeMap<PageNum, Vma>,
+    vmas: Vec<Vma>,
+    /// Index of the VMA the last successful lookup returned. Only a hint:
+    /// it may point anywhere (or past the end) after a remap.
+    cursor: Cell<usize>,
     mmap_calls: u64,
 }
 
@@ -117,50 +130,40 @@ impl AddressSpace {
         }
         self.mmap_calls += 1;
 
-        // Collect keys of VMAs that might overlap: those starting before
-        // range.end, walking back to the one covering range.start.
-        let overlapping: Vec<PageNum> = self
-            .vmas
-            .range(..range.end)
-            .rev()
-            .take_while(|(_, v)| v.range.end > range.start)
-            .map(|(k, _)| *k)
-            .collect();
-
-        for key in overlapping {
-            let Some(old) = self.vmas.remove(&key) else {
-                continue;
-            };
-            // Left remainder.
-            let left = PageRange::new(
-                old.range.start,
-                range.start.max(old.range.start).min(old.range.end),
-            );
-            if !left.is_empty() {
-                let slice = old.slice(left);
-                self.vmas.insert(slice.range.start, slice);
-            }
-            // Right remainder.
-            let right = PageRange::new(
-                range.end.max(old.range.start).min(old.range.end),
-                old.range.end,
-            );
-            if !right.is_empty() {
-                let slice = old.slice(right);
-                self.vmas.insert(slice.range.start, slice);
-            }
-        }
-
-        self.vmas.insert(range.start, Vma { range, backing });
+        // The overlapped run: VMAs ending after `range.start` and starting
+        // before `range.end`. Only its first VMA can stick out on the left
+        // and only its last on the right; the run is replaced by those
+        // remainders around the new mapping.
+        let lo = self.vmas.partition_point(|v| v.range.end <= range.start);
+        let hi = self.vmas.partition_point(|v| v.range.start < range.end);
+        let overlapped = self.vmas.get(lo..hi).unwrap_or_default();
+        let left = overlapped
+            .first()
+            .filter(|v| v.range.start < range.start)
+            .map(|v| v.slice(PageRange::new(v.range.start, range.start)));
+        let right = overlapped
+            .last()
+            .filter(|v| v.range.end > range.end)
+            .map(|v| v.slice(PageRange::new(range.end, v.range.end)));
+        let new = Vma { range, backing };
+        self.vmas
+            .splice(lo..hi, left.into_iter().chain(Some(new)).chain(right));
     }
 
-    /// Looks up the VMA covering `page`, if any.
+    /// Looks up the VMA covering `page`, if any: the last hit or its
+    /// successor when either contains `page`, else a binary search.
     pub fn lookup(&self, page: PageNum) -> Option<&Vma> {
-        self.vmas
-            .range(..=page)
-            .next_back()
-            .map(|(_, v)| v)
-            .filter(|v| v.range.contains(page))
+        let hint = self.cursor.get();
+        for idx in [hint, hint + 1] {
+            if let Some(vma) = self.vmas.get(idx).filter(|v| v.range.contains(page)) {
+                self.cursor.set(idx);
+                return Some(vma);
+            }
+        }
+        let idx = self.vmas.partition_point(|v| v.range.end <= page);
+        let vma = self.vmas.get(idx).filter(|v| v.range.contains(page))?;
+        self.cursor.set(idx);
+        Some(vma)
     }
 
     /// Resolves a page to its backing location, if mapped.
@@ -180,35 +183,20 @@ impl AddressSpace {
 
     /// Iterates VMAs in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
+        self.vmas.iter()
     }
 
     /// True if every page of `range` is covered by some VMA.
     pub fn covers(&self, range: PageRange) -> bool {
+        let first = self.vmas.partition_point(|v| v.range.end <= range.start);
         let mut next = range.start;
-        for vma in self.vmas.range(..range.end).map(|(_, v)| v) {
-            if vma.range.end <= next {
-                continue;
-            }
-            if vma.range.start > next {
-                return false;
+        for vma in self.vmas.iter().skip(first) {
+            if next >= range.end || vma.range.start > next {
+                break;
             }
             next = vma.range.end;
-            if next >= range.end {
-                return true;
-            }
         }
         next >= range.end
-    }
-
-    /// Largest extent of contiguous pages starting at `page` that share the
-    /// same VMA, clamped to `limit` pages. Used to clamp readahead windows
-    /// so a read never crosses a mapping boundary.
-    pub fn contiguous_extent(&self, page: PageNum, limit: u64) -> u64 {
-        match self.lookup(page) {
-            Some(vma) => (vma.range.end - page).min(limit),
-            None => 0,
-        }
     }
 }
 
@@ -377,16 +365,6 @@ mod tests {
         assert!(a.covers(PageRange::new(5, 8)));
         assert!(!a.covers(PageRange::new(0, 30)));
         assert!(!a.covers(PageRange::new(15, 18)));
-    }
-
-    #[test]
-    fn contiguous_extent_clamps() {
-        let mut a = AddressSpace::new();
-        a.map_fixed(PageRange::new(0, 100), Backing::Anonymous);
-        a.map_fixed(PageRange::new(100, 200), file(1, 0));
-        assert_eq!(a.contiguous_extent(90, 32), 10);
-        assert_eq!(a.contiguous_extent(90, 5), 5);
-        assert_eq!(a.contiguous_extent(250, 32), 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! memory file, which is the copy of the entire guest physical memory"
 //! (§2.4). In the simulation the memory file's logical contents are the
 //! frozen [`GuestMemory`] image (its non-zero pages, one sorted vector),
-//! held once behind an `Rc` and shared by every VM restored from it; the
+//! held once behind an `Rc` and shared by every VM restored from it, as
+//! are its non-zero regions, scanned once when the snapshot is taken; the
 //! storage layer tracks the file's identity and size so reads are charged
 //! correctly.
 //!
@@ -30,6 +31,7 @@ pub struct Snapshot {
     mem_file: FileId,
     state_file: FileId,
     memory: Rc<GuestMemory>,
+    nonzero_regions: Rc<Vec<PageRange>>,
 }
 
 impl Snapshot {
@@ -77,6 +79,7 @@ impl Snapshot {
             name,
             mem_file,
             state_file,
+            nonzero_regions: Rc::new(memory.nonzero_regions()),
             memory: Rc::new(memory),
         }
     }
@@ -107,9 +110,10 @@ impl Snapshot {
     }
 
     /// Non-zero regions of the memory file (FaaSnap's post-invocation
-    /// scan, §4.5).
-    pub fn nonzero_regions(&self) -> Vec<PageRange> {
-        self.memory.nonzero_regions()
+    /// scan, §4.5): a shared handle to the one scan made when the snapshot
+    /// was taken.
+    pub fn nonzero_regions(&self) -> Rc<Vec<PageRange>> {
+        Rc::clone(&self.nonzero_regions)
     }
 
     /// The image a restored VM starts from: a shared handle to the frozen
@@ -124,9 +128,8 @@ impl Snapshot {
     /// Sparse: only non-zero regions are written; the memory file is a
     /// sparse file ("snapshot files can be saved as sparse files", §7.2).
     pub fn write_out_requests(&self) -> Vec<IoRequest> {
-        self.memory
-            .nonzero_regions()
-            .into_iter()
+        self.nonzero_regions
+            .iter()
             .map(|r| IoRequest {
                 file: self.mem_file,
                 page: r.start,

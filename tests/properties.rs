@@ -11,6 +11,45 @@ use sim_storage::file::FileId;
 use sim_vm::guest_memory::GuestMemory;
 use sim_vm::{CowMemory, GuestMem};
 
+/// Pages the naive address-space model tracks (mappings stay below 260).
+const NAIVE_PAGES: u64 = 270;
+
+/// Holds `aspace`'s view of `page` to the naive per-page model, which
+/// names for each page the mapping call that last covered it: `resolve`
+/// must give the model's location and `lookup` the VMA spanning exactly
+/// the run of pages around `page` that the same call still covers (no
+/// two pieces of one call are ever adjacent, so that run is one VMA).
+fn check_lookup(aspace: &AddressSpace, naive: &[Option<(usize, Resolved)>], page: u64) {
+    let at = |p: u64| naive.get(p as usize).copied().flatten();
+    let want = at(page);
+    prop_assert_eq!(
+        aspace.resolve(page),
+        want.map(|(_, r)| r),
+        "resolve {}",
+        page
+    );
+    let extent = want.map(|(call, _)| {
+        let same = |p: u64| at(p).is_some_and(|(c, _)| c == call);
+        let start = (0..page)
+            .rev()
+            .take_while(|&p| same(p))
+            .last()
+            .unwrap_or(page);
+        let end = (page..NAIVE_PAGES)
+            .take_while(|&p| same(p))
+            .last()
+            .unwrap_or(page)
+            + 1;
+        PageRange::new(start, end)
+    });
+    prop_assert_eq!(
+        aspace.lookup(page).map(|v| v.range),
+        extent,
+        "lookup {}",
+        page
+    );
+}
+
 /// A small arbitrary set of distinct pages below `max`.
 fn arb_pages(max: u64) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::btree_set(0..max, 0..120).prop_map(|s| s.into_iter().collect())
@@ -19,14 +58,25 @@ fn arb_pages(max: u64) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     /// MAP_FIXED overlay semantics: the address space must agree with a
     /// naive "last mapping wins per page" model for any mapping sequence.
+    /// Lookups of random pages in random order run between the mappings,
+    /// so the last-hit cursor hits, misses and goes stale after a remap;
+    /// `resolve`, `lookup`'s extent and `covers` all match the model.
     #[test]
     fn vma_overlay_matches_naive_model(
-        ops in proptest::collection::vec((0u64..200, 1u64..60, 0u8..3), 1..25)
+        ops in proptest::collection::vec(
+            (
+                0u64..200,
+                1u64..60,
+                0u8..3,
+                proptest::collection::vec((0u64..NAIVE_PAGES, 0u64..40), 0..12),
+            ),
+            1..25,
+        )
     ) {
         let total = 260u64;
         let mut aspace = AddressSpace::new();
-        let mut naive: Vec<Option<(u8, u64, u64)>> = vec![None; total as usize];
-        for (start, len, kind) in ops {
+        let mut naive: Vec<Option<(usize, Resolved)>> = vec![None; NAIVE_PAGES as usize];
+        for (i, (start, len, kind, probes)) in ops.into_iter().enumerate() {
             let end = (start + len).min(total);
             let range = PageRange::new(start, end);
             let backing = match kind {
@@ -36,24 +86,22 @@ proptest! {
             };
             aspace.map_fixed(range, backing);
             for p in start..end {
-                naive[p as usize] = Some(match kind {
-                    0 => (0, 0, 0),
-                    1 => (1, 1, p),
-                    _ => (2, 2, 1000 + p),
-                });
+                naive[p as usize] = Some((i, match kind {
+                    0 => Resolved::Anonymous,
+                    1 => Resolved::File { file: FileId(1), file_page: p },
+                    _ => Resolved::File { file: FileId(2), file_page: 1000 + p },
+                }));
+            }
+            for (p, len) in probes {
+                check_lookup(&aspace, &naive, p);
+                let range = PageRange::new(p, (p + len).min(NAIVE_PAGES));
+                let covered = range.iter().all(|q| naive[q as usize].is_some());
+                prop_assert_eq!(aspace.covers(range), covered, "covers {:?}", range);
             }
         }
-        for p in 0..total {
-            let got = aspace.resolve(p);
-            match (naive[p as usize], got) {
-                (None, None) => {}
-                (Some((0, _, _)), Some(Resolved::Anonymous)) => {}
-                (Some((_, f, fp)), Some(Resolved::File { file, file_page })) => {
-                    prop_assert_eq!(file, FileId(f));
-                    prop_assert_eq!(file_page, fp);
-                }
-                (expect, got) => prop_assert!(false, "page {}: {:?} vs {:?}", p, expect, got),
-            }
+        // Every page forward, then backward.
+        for p in (0..NAIVE_PAGES).chain((0..NAIVE_PAGES).rev()) {
+            check_lookup(&aspace, &naive, p);
         }
     }
 
@@ -138,6 +186,41 @@ proptest! {
         by_addr.sort_by_key(|r| r.guest.start);
         for w in by_addr.windows(2) {
             prop_assert!(w[1].guest.start - w[0].guest.end > gap);
+        }
+    }
+
+    /// `covers` and `file_page_of` (binary searches of the guest-ordered
+    /// index) agree with a linear scan of the file-ordered `regions()` on
+    /// every page. Pages arrive in random order and groups are small, so
+    /// the file order differs from the guest order.
+    #[test]
+    fn loading_set_lookups_match_linear_scan(
+        accesses in proptest::collection::vec(0u64..1000, 0..150),
+        nonzero in arb_pages(1000),
+        group_size in 1u64..32,
+        gap in 0u64..40
+    ) {
+        let mut order: Vec<u64> = Vec::new();
+        for &p in &accesses {
+            if !order.contains(&p) {
+                order.push(p);
+            }
+        }
+        let mut ws = WorkingSet::with_group_size(group_size);
+        ws.extend(&order);
+        let mut mem = GuestMemory::new(1024);
+        for &p in &nonzero {
+            mem.write(p, p + 1);
+        }
+        let ls = LoadingSet::build(&ws, &mem, gap);
+        for p in 0..1024 {
+            let scan = ls
+                .regions()
+                .iter()
+                .find(|r| r.guest.contains(p))
+                .map(|r| r.file_start + (p - r.guest.start));
+            prop_assert_eq!(ls.file_page_of(p), scan, "file_page_of {}", p);
+            prop_assert_eq!(ls.covers(p), scan.is_some(), "covers {}", p);
         }
     }
 
