@@ -15,11 +15,14 @@
 //!   stream stays byte-identical.
 //! * **LeastLoaded** — a segment tree over `(load, host)` keyed with a
 //!   sentinel for non-admittable hosts answers the global min in O(1).
+//!   An update climbs only while a parent's minimum changes.
 //! * **SnapshotLocality** — per-tenant host lists (warm VMs with their
 //!   expiries, snapshot residency, cache residency) restrict the
 //!   locality classes to the handful of hosts that can possibly match;
 //!   the fallback class (no local state anywhere) reuses the
-//!   least-loaded root.
+//!   least-loaded root. Tenant ids are dense (`0..tenants`), so each
+//!   kind of list is a vector indexed by tenant, grown on first use:
+//!   a notification or a lookup is one bounds check, not a hash probe.
 //!
 //! Exactness: the scan computes `min over admittable hosts of
 //! (locality(tenant, now), load, host)`. The index partitions that min
@@ -37,7 +40,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sim_core::detmap::DetMap;
 use sim_core::rng::Prng;
 use sim_core::time::SimTime;
 
@@ -156,13 +158,27 @@ struct IndexInner {
     /// Fenwick tree (1-based) over the admittable bit-vector.
     fen: Vec<u32>,
     admit_count: usize,
-    /// tenant → warm VMs as (host, expiry); duplicates allowed (a host
-    /// can park several VMs of one tenant, and two hosts can too).
-    warm: DetMap<TenantId, Vec<(usize, SimTime)>>,
-    /// tenant → hosts where a snapshot is registered.
-    snap: DetMap<TenantId, Vec<usize>>,
-    /// tenant → hosts where the loading set is cache-resident.
-    cached: DetMap<TenantId, Vec<usize>>,
+    /// Indexed by tenant: warm VMs as (host, expiry); duplicates
+    /// allowed (a host can park several VMs of one tenant, and two hosts
+    /// can too).
+    warm: Vec<Vec<(usize, SimTime)>>,
+    /// Indexed by tenant: hosts where a snapshot is registered.
+    snap: Vec<Vec<usize>>,
+    /// Indexed by tenant: hosts where the loading set is cache-resident.
+    cached: Vec<Vec<usize>>,
+}
+
+/// `tenant`'s list in `lists`, growing the vector to reach it.
+fn grown<T>(lists: &mut Vec<Vec<T>>, tenant: TenantId) -> Option<&mut Vec<T>> {
+    if lists.len() <= tenant {
+        lists.resize_with(tenant + 1, Vec::new);
+    }
+    lists.get_mut(tenant)
+}
+
+/// `tenant`'s list in `lists`; empty if the tenant never had one.
+fn list_of<T>(lists: &[Vec<T>], tenant: TenantId) -> &[T] {
+    lists.get(tenant).map_or(&[], Vec::as_slice)
 }
 
 impl IndexInner {
@@ -176,9 +192,9 @@ impl IndexInner {
             size,
             fen: vec![0; n + 1],
             admit_count: 0,
-            warm: DetMap::new(),
-            snap: DetMap::new(),
-            cached: DetMap::new(),
+            warm: Vec::new(),
+            snap: Vec::new(),
+            cached: Vec::new(),
         }
     }
 
@@ -197,12 +213,20 @@ impl IndexInner {
         self.seg_set(host, if admit { (load, host) } else { FULL });
     }
 
+    /// Sets `host`'s leaf and re-derives its ancestors, stopping at the
+    /// first whose minimum is unchanged: every node above it depends on
+    /// this leaf only through that minimum.
     fn seg_set(&mut self, host: usize, v: (usize, usize)) {
         let mut i = self.size + host;
         self.seg[i] = v;
         while i > 1 {
+            let min = self.seg[i].min(self.seg[i ^ 1]);
             i /= 2;
-            self.seg[i] = self.seg[2 * i].min(self.seg[2 * i + 1]);
+            let parent = &mut self.seg[i];
+            if *parent == min {
+                break;
+            }
+            *parent = min;
         }
     }
 
@@ -235,39 +259,34 @@ impl IndexInner {
     }
 
     fn warm_add(&mut self, host: usize, tenant: TenantId, expiry: SimTime) {
-        self.warm
-            .or_insert_with(tenant, Vec::new)
-            .push((host, expiry));
+        if let Some(list) = grown(&mut self.warm, tenant) {
+            list.push((host, expiry));
+        }
     }
 
     fn warm_remove(&mut self, host: usize, tenant: TenantId, expiry: SimTime) {
-        let Some(list) = self.warm.get_mut(&tenant) else {
+        let Some(list) = self.warm.get_mut(tenant) else {
             return;
         };
         if let Some(pos) = list.iter().position(|&(h, e)| h == host && e == expiry) {
             list.swap_remove(pos);
         }
-        if list.is_empty() {
-            self.warm.remove(&tenant);
-        }
     }
 
     fn set_member(&mut self, kind: Kind, host: usize, tenant: TenantId, present: bool) {
-        let map = match kind {
+        let lists = match kind {
             Kind::Snapshot => &mut self.snap,
             Kind::Cached => &mut self.cached,
         };
         if present {
-            let list = map.or_insert_with(tenant, Vec::new);
-            if !list.contains(&host) {
-                list.push(host);
+            if let Some(list) = grown(lists, tenant) {
+                if !list.contains(&host) {
+                    list.push(host);
+                }
             }
-        } else if let Some(list) = map.get_mut(&tenant) {
+        } else if let Some(list) = lists.get_mut(tenant) {
             if let Some(pos) = list.iter().position(|&h| h == host) {
                 list.swap_remove(pos);
-            }
-            if list.is_empty() {
-                map.remove(&tenant);
             }
         }
     }
@@ -309,8 +328,8 @@ impl IndexInner {
 
     /// Min-(load, host) admittable host holding an unexpired warm VM.
     fn best_warm(&self, tenant: TenantId, now: SimTime) -> Option<usize> {
-        let list = self.warm.get(&tenant)?;
-        list.iter()
+        list_of(&self.warm, tenant)
+            .iter()
             .filter(|&&(h, expiry)| expiry >= now && self.admit[h])
             .map(|&(h, _)| (self.loads[h], h))
             .min()
@@ -321,9 +340,9 @@ impl IndexInner {
     /// cache-resident loading sets ranking above cold ones — the
     /// SnapshotHot ≻ SnapshotCold ordering of the scan.
     fn best_snapshot(&self, tenant: TenantId) -> Option<usize> {
-        let list = self.snap.get(&tenant)?;
-        let hot = self.cached.get(&tenant);
-        let is_hot = |h: usize| hot.is_some_and(|v| v.contains(&h));
+        let list = list_of(&self.snap, tenant);
+        let hot = list_of(&self.cached, tenant);
+        let is_hot = |h: usize| hot.contains(&h);
         let best = |want_hot: bool| {
             list.iter()
                 .filter(|&&h| self.admit[h] && is_hot(h) == want_hot)
@@ -467,12 +486,40 @@ mod tests {
         );
     }
 
+    /// Every segment-tree node equals a full bottom-up recompute after
+    /// each of a run of random load and admission updates, at leaf
+    /// counts that are and are not powers of two (padding leaves stay
+    /// [`FULL`]). Loads are drawn from a narrow range so that many
+    /// updates leave a parent's minimum unchanged and stop climbing.
+    #[test]
+    fn segment_tree_matches_full_recompute() {
+        for n in [1usize, 2, 5, 37, 64] {
+            let mut inner = IndexInner::new(n);
+            let mut rng = Prng::new(n as u64);
+            for step in 0..2_000 {
+                let host = rng.below(n as u64) as usize;
+                inner.set_host(host, rng.below(4) as usize, rng.below(3) > 0);
+                let mut full = vec![FULL; 2 * inner.size];
+                for h in (0..n).filter(|&h| inner.admit[h]) {
+                    full[inner.size + h] = (inner.loads[h], h);
+                }
+                for i in (1..inner.size).rev() {
+                    full[i] = full[2 * i].min(full[2 * i + 1]);
+                }
+                assert_eq!(inner.seg, full, "{n} hosts, step {step}");
+            }
+        }
+    }
+
     /// The load-bearing equivalence: drive a small fleet with random
     /// arrivals, completions, expiries, and eviction cascades, and at
     /// every routing decision check the indexed pick against the
     /// O(hosts) scan on identical rng clones. Tight budgets force warm
     /// cap evictions, registry evictions, and cache-eviction cascades —
-    /// every notification path in `HostSim`.
+    /// every notification path in `HostSim`. It runs at 4 hosts with
+    /// dense tenant ids and at 37 hosts (not a power of two, so the
+    /// segment tree has padding leaves) with sparse ones (ids 997 apart,
+    /// so the per-tenant vectors grow past ids no tenant uses).
     #[test]
     fn indexed_pick_matches_scan_over_random_traffic() {
         use crate::hostsim::{Admission, HostConfig, QueuedJob, ServiceTimes};
@@ -484,14 +531,17 @@ mod tests {
             loading_set_bytes: 30,
             ..ServiceTimes::default()
         };
-        for (pi, policy) in [
+        for (pi, policy, n, stride, gap_ms, steps) in [
             RoutePolicy::Random,
             RoutePolicy::LeastLoaded,
             RoutePolicy::SnapshotLocality,
         ]
         .into_iter()
         .enumerate()
-        {
+        .flat_map(|(pi, policy)| {
+            [(4, 1, 400, 600), (37, 997, 40, 3_000)]
+                .map(|(n, stride, gap_ms, steps)| (pi, policy, n, stride, gap_ms, steps))
+        }) {
             let cfg = HostConfig {
                 slots: 2,
                 queue_cap: 1,
@@ -502,8 +552,8 @@ mod tests {
                 store: crate::store::StoreParams::default(),
                 branch: false,
             };
-            let idx = RouterIndex::enabled(4);
-            let mut hosts: Vec<HostSim> = (0..4).map(|_| HostSim::new(cfg)).collect();
+            let idx = RouterIndex::enabled(n);
+            let mut hosts: Vec<HostSim> = (0..n).map(|_| HostSim::new(cfg)).collect();
             for (i, h) in hosts.iter_mut().enumerate() {
                 h.attach_index(idx.clone(), i);
             }
@@ -513,8 +563,8 @@ mod tests {
             // with FIFO insertion order on ties.
             let mut pending: Vec<(SimTime, usize, TenantId)> = Vec::new();
             let mut now = SimTime::ZERO;
-            for step in 0..600 {
-                now += SimDuration::from_millis(rng.below(400));
+            for step in 0..steps {
+                now += SimDuration::from_millis(rng.below(gap_ms));
                 while pending.first().is_some_and(|&(f, _, _)| f <= now) {
                     let (fin, host, tenant) = pending.remove(0);
                     hosts[host].finish(tenant, fin);
@@ -526,11 +576,11 @@ mod tests {
                         pending.insert(pos, (at, host, job.tenant));
                     }
                 }
-                let tenant: TenantId = rng.below(6) as TenantId;
+                let tenant = rng.below(6) as TenantId * stride;
                 let mut shadow = route_rng.clone();
                 let scan = policy.pick(&hosts, tenant, now, &mut shadow);
                 let fast = idx.pick(policy, &hosts, tenant, now, &mut route_rng);
-                assert_eq!(scan, fast, "{policy:?} diverged at step {step}");
+                assert_eq!(scan, fast, "{policy:?}, {n} hosts: diverged at step {step}");
                 let Some(host) = fast else { continue };
                 let job = QueuedJob {
                     tenant,

@@ -258,7 +258,9 @@ impl StoreRegistry {
                 if shared.is_empty() {
                     None
                 } else {
-                    let layer = self.store.put_layer_refs(LayerKind::Base, shared);
+                    let Ok(layer) = self.store.put_layer_refs(LayerKind::Base, &shared) else {
+                        return vec![tenant];
+                    };
                     self.families.insert(key, layer);
                     Some(layer)
                 }
@@ -270,16 +272,18 @@ impl StoreRegistry {
             LayerKind::Base
         };
         let private = tenant_chunks(self.params, family, tenant, snapshot_bytes);
-        let own = self.store.put_layer_refs(kind, private);
+        // The slot generators list ascending slots and both layers exist
+        // once laid down, so neither step can fail. Refuse residency
+        // rather than panic.
+        let Ok(own) = self.store.put_layer_refs(kind, &private) else {
+            return vec![tenant];
+        };
         let layers: &[LayerId] = match base {
             Some(base) => &[base, own],
             None => &[own],
         };
-        let id = match self.store.compose_snapshot(layers, snapshot_bytes) {
-            Ok(id) => id,
-            // Both layers exist one line above; composing over them
-            // cannot fail. Refuse residency rather than panic.
-            Err(_) => return vec![tenant],
+        let Ok(id) = self.store.compose_snapshot(layers, snapshot_bytes) else {
+            return vec![tenant];
         };
         self.lru.push_back(tenant);
         self.resident.insert(tenant, (id, key));

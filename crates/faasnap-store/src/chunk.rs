@@ -6,8 +6,12 @@
 //! page tokens optionally — the faasnap restore path needs real content to
 //! materialize memory, while the fleet simulator only needs byte
 //! accounting and inserts reference-only entries under synthetic hashes.
+//!
+//! Entries live in a [`DetMap`]: an insert or reference drop is one O(1)
+//! probe, and iteration runs in insertion order, not hash order. Nothing
+//! observable iterates the table except [`ChunkTable::debug_validate`].
 
-use std::collections::BTreeMap;
+use sim_core::detmap::DetMap;
 
 use crate::error::StoreError;
 use crate::hash::ChunkHash;
@@ -27,7 +31,7 @@ pub struct ChunkEntry {
 /// Content-addressed, refcounted chunk storage.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkTable {
-    entries: BTreeMap<ChunkHash, ChunkEntry>,
+    entries: DetMap<ChunkHash, ChunkEntry>,
     unique_bytes: u64,
 }
 
@@ -51,26 +55,26 @@ impl ChunkTable {
         self.insert_entry(hash, bytes, None);
     }
 
-    fn insert_entry(&mut self, hash: ChunkHash, bytes: u64, data: Option<Vec<u64>>) {
-        let unique = &mut self.unique_bytes;
-        self.entries
-            .entry(hash)
-            .and_modify(|e| {
-                e.refs += 1;
-                // A data insert can fill in content for a chunk first seen
-                // as reference-only (same hash ⇒ same logical content).
-                if e.data.is_none() {
-                    e.data = data.clone();
-                }
-            })
-            .or_insert_with(|| {
-                *unique += bytes;
-                ChunkEntry {
-                    refs: 1,
-                    bytes,
-                    data,
-                }
-            });
+    /// One probe: a new hash is admitted at `bytes`, a present one gains
+    /// a reference.
+    fn insert_entry(&mut self, hash: ChunkHash, bytes: u64, mut data: Option<Vec<u64>>) {
+        let mut fresh = false;
+        let e = self.entries.or_insert_with(hash, || {
+            fresh = true;
+            ChunkEntry {
+                refs: 0,
+                bytes,
+                data: data.take(),
+            }
+        });
+        e.refs += 1;
+        if fresh {
+            self.unique_bytes += bytes;
+        } else if e.data.is_none() {
+            // A data insert can fill in content for a chunk first seen
+            // as reference-only (same hash ⇒ same logical content).
+            e.data = data;
+        }
     }
 
     /// Takes an additional reference on an existing chunk.
@@ -131,7 +135,7 @@ impl ChunkTable {
         self.entries.is_empty()
     }
 
-    /// Iterates entries in hash order (deterministic).
+    /// Iterates entries in insertion order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (&ChunkHash, &ChunkEntry)> {
         self.entries.iter()
     }
@@ -140,7 +144,7 @@ impl ChunkTable {
     /// equals the sum over entries. Used by property tests.
     pub fn debug_validate(&self) -> Result<(), StoreError> {
         let mut sum = 0u64;
-        for (h, e) in &self.entries {
+        for (h, e) in self.entries.iter() {
             if e.refs == 0 {
                 return Err(StoreError::Invariant(format!(
                     "chunk {h:?} resident with zero refs"

@@ -6,13 +6,15 @@
 //! all-zero chunks, which act as tombstones ("this chunk was dirtied back
 //! to zeros"). Resolution walks a snapshot's layers newest-first and takes
 //! the first hit.
-
-use std::collections::BTreeMap;
+//!
+//! A layer is written once, in ascending index order, and never edited,
+//! so its slots are a flat sorted vector: appending is free, a point
+//! lookup is a binary search, and a walk is a slice scan.
 
 use crate::hash::ChunkHash;
 
 /// Stable identity of a layer within one store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LayerId(pub u64);
 
 /// Whether a layer is a family base or a per-instance delta.
@@ -26,16 +28,28 @@ pub enum LayerKind {
 #[derive(Clone, Debug)]
 pub struct Layer {
     pub kind: LayerKind,
-    /// Chunk index (page / chunk_pages) → content identity.
-    pub chunks: BTreeMap<u64, ChunkHash>,
+    /// `(chunk index, content identity)` slots in strictly ascending
+    /// index order (chunk index = page / chunk_pages). Private to the
+    /// crate: only the store's `put_*` paths append, each in ascending
+    /// order, so [`Layer::get`] may binary-search.
+    pub(crate) chunks: Vec<(u64, ChunkHash)>,
 }
 
 impl Layer {
     pub fn new(kind: LayerKind) -> Layer {
         Layer {
             kind,
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
         }
+    }
+
+    /// The identity at chunk index `idx`, if this layer maps it.
+    pub fn get(&self, idx: u64) -> Option<ChunkHash> {
+        self.chunks
+            .binary_search_by_key(&idx, |&(i, _)| i)
+            .ok()
+            .and_then(|pos| self.chunks.get(pos))
+            .map(|&(_, hash)| hash)
     }
 
     /// Number of chunks this layer pins.

@@ -10,9 +10,11 @@
 //!
 //! Determinism contract: chunk identity is a pure function of content
 //! under an in-tree seeded hash ([`hash::HASH_SEED`]) — no OS entropy, no
-//! per-process hasher state — and every container is a `BTreeMap`, so all
-//! iteration orders, accounting totals, and eviction decisions are
-//! byte-reproducible per seed. Enforced by faasnap-lint.
+//! per-process hasher state — and every container is insertion-ordered
+//! (`sim_core::detmap::DetMap`) or sorted (a layer's slot vector, the
+//! `BTreeMap` that `resolve` returns), so all iteration orders,
+//! accounting totals, and eviction decisions are byte-reproducible per
+//! seed. Enforced by faasnap-lint.
 //!
 //! The crate deliberately depends only on `sim-core`: the storage layer
 //! (`sim-storage`) stays below it in the crate DAG, and the integration

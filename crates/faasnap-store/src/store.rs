@@ -16,10 +16,15 @@
 //! Dropping the last snapshot over a layer frees the layer, which in turn
 //! releases its chunks — eviction therefore reclaims exactly the bytes no
 //! other resident snapshot still needs, never a shared base.
+//!
+//! The layer and snapshot tables are [`DetMap`]s keyed by id, so every
+//! lookup on the insert, compose and drop paths is one O(1) probe;
+//! nothing observable iterates them in table order.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use sim_core::detmap::DetMap;
 use sim_core::units::PAGE_SIZE;
 
 use crate::chunk::ChunkTable;
@@ -28,7 +33,7 @@ use crate::hash::ChunkHash;
 use crate::layer::{Layer, LayerId, LayerKind};
 
 /// Stable identity of a snapshot within one store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnapshotId(pub u64);
 
 /// Store-wide parameters.
@@ -125,8 +130,8 @@ struct SnapshotEntry {
 pub struct SnapshotStore {
     cfg: StoreConfig,
     chunks: ChunkTable,
-    layers: BTreeMap<LayerId, LayerEntry>,
-    snapshots: BTreeMap<SnapshotId, SnapshotEntry>,
+    layers: DetMap<LayerId, LayerEntry>,
+    snapshots: DetMap<SnapshotId, SnapshotEntry>,
     next_layer: u64,
     next_snapshot: u64,
     stats: StatCells,
@@ -173,7 +178,7 @@ impl SnapshotStore {
     /// (absent resolves to zeros). Unordered or repeated pages are an
     /// [`StoreError::Invariant`] and record nothing.
     pub fn put_base_layer(&mut self, pages: &[(u64, u64)]) -> Result<LayerId, StoreError> {
-        check_ascending(pages)?;
+        check_ascending("page", pages, |&(page, _)| page)?;
         let mut layer = Layer::new(LayerKind::Base);
         let mut idxs: Vec<u64> = pages
             .iter()
@@ -183,7 +188,7 @@ impl SnapshotStore {
         for idx in idxs {
             let tokens = self.chunk_tokens(pages, idx);
             let hash = self.chunks.insert_data(tokens, self.cfg.chunk_bytes());
-            layer.chunks.insert(idx, hash);
+            layer.chunks.push((idx, hash));
             StatCells::bump(&self.stats.chunks_inserted, 1);
             StatCells::bump(&self.stats.map_ops, 2);
         }
@@ -201,7 +206,7 @@ impl SnapshotStore {
         parent: SnapshotId,
         pages: &[(u64, u64)],
     ) -> Result<LayerId, StoreError> {
-        check_ascending(pages)?;
+        check_ascending("page", pages, |&(page, _)| page)?;
         let parent_map = self.resolve(parent)?;
         // Union of chunk indices present in either image.
         let mut idxs: Vec<u64> = pages
@@ -229,7 +234,7 @@ impl SnapshotStore {
             };
             if differs {
                 let hash = self.chunks.insert_data(new_tokens, self.cfg.chunk_bytes());
-                layer.chunks.insert(idx, hash);
+                layer.chunks.push((idx, hash));
                 StatCells::bump(&self.stats.chunks_inserted, 1);
             }
             StatCells::bump(&self.stats.map_ops, 2);
@@ -238,21 +243,27 @@ impl SnapshotStore {
     }
 
     /// Records an accounting-only layer from precomputed chunk identities
-    /// (the fleet simulator's synthetic provenance model). Each slot takes
-    /// one chunk reference; unseen hashes are admitted at `bytes` each.
+    /// (the fleet simulator's synthetic provenance model): `(slot index,
+    /// identity, bytes)` triples in strictly ascending slot order. Each
+    /// slot takes one chunk reference; unseen hashes are admitted at
+    /// `bytes` each. Unordered or repeated slot indices are an
+    /// [`StoreError::Invariant`] and record nothing: a repeated index
+    /// would take a reference the layer could never release.
     pub fn put_layer_refs(
         &mut self,
         kind: LayerKind,
-        slots: impl IntoIterator<Item = (u64, ChunkHash, u64)>,
-    ) -> LayerId {
+        slots: &[(u64, ChunkHash, u64)],
+    ) -> Result<LayerId, StoreError> {
+        check_ascending("slot", slots, |&(idx, _, _)| idx)?;
         let mut layer = Layer::new(kind);
-        for (idx, hash, bytes) in slots {
+        layer.chunks.reserve_exact(slots.len());
+        for &(idx, hash, bytes) in slots {
             self.chunks.insert_ref(hash, bytes);
-            layer.chunks.insert(idx, hash);
+            layer.chunks.push((idx, hash));
             StatCells::bump(&self.stats.chunks_inserted, 1);
             StatCells::bump(&self.stats.map_ops, 2);
         }
-        self.alloc_layer(layer)
+        Ok(self.alloc_layer(layer))
     }
 
     /// Composes a snapshot from `layers` (oldest first), taking one
@@ -303,8 +314,8 @@ impl SnapshotStore {
                     .layers
                     .remove(&layer_id)
                     .ok_or(StoreError::UnknownLayer(layer_id.0))?;
-                for hash in le.layer.chunks.values() {
-                    self.chunks.decref(*hash)?;
+                for &(_, hash) in &le.layer.chunks {
+                    self.chunks.decref(hash)?;
                 }
                 freed.push(layer_id);
             }
@@ -326,7 +337,7 @@ impl SnapshotStore {
                 .layers
                 .get(layer_id)
                 .ok_or(StoreError::UnknownLayer(layer_id.0))?;
-            for (&idx, &hash) in &le.layer.chunks {
+            for &(idx, hash) in &le.layer.chunks {
                 map.entry(idx).or_insert(hash);
                 StatCells::bump(&self.stats.map_ops, 1);
             }
@@ -347,8 +358,8 @@ impl SnapshotStore {
                 .get(layer_id)
                 .ok_or(StoreError::UnknownLayer(layer_id.0))?;
             StatCells::bump(&self.stats.map_ops, 1);
-            if let Some(hash) = le.layer.chunks.get(&idx) {
-                return Ok(Some(*hash));
+            if let Some(hash) = le.layer.get(idx) {
+                return Ok(Some(hash));
             }
         }
         Ok(None)
@@ -429,8 +440,8 @@ impl SnapshotStore {
         self.chunks.debug_validate()?;
         let mut chunk_refs: BTreeMap<ChunkHash, u64> = BTreeMap::new();
         for le in self.layers.values() {
-            for hash in le.layer.chunks.values() {
-                *chunk_refs.entry(*hash).or_insert(0) += 1;
+            for &(_, hash) in &le.layer.chunks {
+                *chunk_refs.entry(hash).or_insert(0) += 1;
             }
         }
         for (hash, entry) in self.chunks.iter() {
@@ -453,7 +464,7 @@ impl SnapshotStore {
                 *layer_refs.entry(*id).or_insert(0) += 1;
             }
         }
-        for (id, le) in &self.layers {
+        for (id, le) in self.layers.iter() {
             let expect = layer_refs.get(id).copied().unwrap_or(0);
             if le.refs != expect {
                 return Err(StoreError::Invariant(format!(
@@ -471,15 +482,17 @@ impl SnapshotStore {
     }
 }
 
-/// Rejects page lists that are not strictly ascending: chunking finds
-/// each chunk's pages by binary search, which an unordered list would
-/// silently mis-chunk.
-fn check_ascending(pages: &[(u64, u64)]) -> Result<(), StoreError> {
-    let mut pairs = pages.iter().zip(pages.iter().skip(1));
-    match pairs.find(|(a, b)| a.0 >= b.0) {
+/// Rejects lists whose `key` (a page or a slot index) is not strictly
+/// ascending: chunking finds each chunk's pages by binary search, and a
+/// layer's slots are a sorted vector, so an unordered list would
+/// silently mis-chunk and a repeated slot would leak a reference.
+fn check_ascending<T>(what: &str, items: &[T], key: impl Fn(&T) -> u64) -> Result<(), StoreError> {
+    let mut pairs = items.iter().zip(items.iter().skip(1));
+    match pairs.find(|(a, b)| key(a) >= key(b)) {
         Some((a, b)) => Err(StoreError::Invariant(format!(
-            "pages not strictly ascending: page {} before page {}",
-            a.0, b.0
+            "{what}s not strictly ascending: {what} {} before {what} {}",
+            key(a),
+            key(b)
         ))),
         None => Ok(()),
     }
@@ -555,6 +568,22 @@ mod tests {
     }
 
     #[test]
+    fn layer_refs_reject_unordered_slots() {
+        let mut s = SnapshotStore::new(cfg4());
+        let (a, b) = (ChunkHash::synthetic(&[1]), ChunkHash::synthetic(&[2]));
+        for bad in [&[(0, a, 100), (0, b, 100)][..], &[(1, a, 100), (0, b, 100)]] {
+            assert!(matches!(
+                s.put_layer_refs(LayerKind::Base, bad),
+                Err(StoreError::Invariant(_))
+            ));
+        }
+        assert_eq!(s.resident_layers(), 0, "nothing recorded");
+        assert_eq!(s.resident_chunks(), 0);
+        assert_eq!(s.unique_bytes(), 0);
+        s.debug_validate().expect("valid");
+    }
+
+    #[test]
     fn dropping_child_keeps_shared_base() {
         let mut s = SnapshotStore::new(cfg4());
         let base = s.put_base_layer(&[(0, 1), (4, 2), (8, 3)]).expect("base");
@@ -598,14 +627,18 @@ mod tests {
     fn accounting_only_layers_dedup_by_hash() {
         let mut s = SnapshotStore::new(StoreConfig::default());
         let shared = ChunkHash::synthetic(&[1]);
-        let l1 = s.put_layer_refs(
-            LayerKind::Base,
-            vec![(0, shared, 100), (1, ChunkHash::synthetic(&[2]), 100)],
-        );
-        let l2 = s.put_layer_refs(
-            LayerKind::Base,
-            vec![(0, shared, 100), (1, ChunkHash::synthetic(&[3]), 100)],
-        );
+        let l1 = s
+            .put_layer_refs(
+                LayerKind::Base,
+                &[(0, shared, 100), (1, ChunkHash::synthetic(&[2]), 100)],
+            )
+            .expect("ascending slots");
+        let l2 = s
+            .put_layer_refs(
+                LayerKind::Base,
+                &[(0, shared, 100), (1, ChunkHash::synthetic(&[3]), 100)],
+            )
+            .expect("ascending slots");
         let s1 = s.compose_snapshot(&[l1], 200).expect("s1");
         let s2 = s.compose_snapshot(&[l2], 200).expect("s2");
         assert_eq!(s.unique_bytes(), 300, "shared chunk counted once");

@@ -10,6 +10,8 @@
 //! these tests additionally require the final guest memory to be
 //! *identical* across all strategies.
 
+use std::rc::Rc;
+
 use faasnap::strategy::{FaasnapConfig, RestoreStrategy};
 use faasnap_daemon::platform::Platform;
 use faasnap_obs::{chrome_trace_json, Metrics, Tracer};
@@ -94,6 +96,26 @@ fn faasnap_mapping_verification_active() {
         "file arms exercised"
     );
     assert!(!out.report.degraded);
+}
+
+/// Verification checks the fault planner's own resolution of each
+/// fault, not only faults the planner left unresolved. A FaaSnap
+/// restore whose non-zero-region scan is stale (here: taken before the
+/// guest wrote anything) maps every page outside the loading set
+/// anonymously, and the first fault on one that holds snapshot data
+/// must stop the run.
+#[test]
+#[should_panic(expected = "mapped anonymously but snapshot content is non-zero")]
+fn faasnap_stale_scan_fails_mapping_verification() {
+    let mut p = Platform::new(DiskProfile::nvme_c5d(), 0xC0FFEE);
+    let f = faas_workloads::by_name("json").unwrap();
+    p.register(f.clone());
+    p.record("json", "t", &f.input_a()).unwrap();
+    let mut spec = p
+        .build_spec("json", "t", &f.input_b(), RestoreStrategy::faasnap())
+        .unwrap();
+    spec.nonzero_regions = Rc::default();
+    let _ = faasnap::runtime::run(p.host_mut(), vec![spec]);
 }
 
 #[test]

@@ -5,6 +5,10 @@
 //!   the sparse page image it was recorded from;
 //! - delta-over-base equivalence: resolving base+delta yields the same
 //!   image as recording the mutated memory flat;
+//! - store == reference model: random accounting layers (sharing chunk
+//!   identities, some with unordered or repeated slots), compositions
+//!   and drops leave the store's byte counts, residency, freed layers
+//!   and resolutions equal to an independent refcount model's;
 //! - layered registry == flat registry: random insert/touch/remove
 //!   sequences, with dedup on and off and 2 or 8 MiB chunks, evict the
 //!   same tenants and account the same bytes as a flat oracle (one layer
@@ -24,7 +28,9 @@ use faasnap_cluster::{
     family_chunks, run_cluster, tenant_chunks, ClusterConfig, RoutePolicy, StoreParams,
     StoreRegistry, WorkloadSpec,
 };
-use faasnap_store::{LayerKind, SnapshotId, SnapshotStore, StoreConfig};
+use faasnap_store::{
+    ChunkHash, LayerId, LayerKind, SnapshotId, SnapshotStore, StoreConfig, StoreError,
+};
 use proptest::prelude::*;
 use sim_core::time::SimDuration;
 use sim_core::units::PAGE_SIZE;
@@ -90,7 +96,7 @@ impl FlatRegistry {
         if solo.values().sum::<u64>() > self.budget {
             return vec![tenant];
         }
-        let layer = self.store.put_layer_refs(LayerKind::Base, chunks);
+        let layer = self.store.put_layer_refs(LayerKind::Base, &chunks).unwrap();
         let id = self
             .store
             .compose_snapshot(&[layer], snapshot_bytes)
@@ -105,6 +111,83 @@ impl FlatRegistry {
             evicted.push(victim);
         }
         evicted
+    }
+}
+
+/// An independent model of [`SnapshotStore`]'s reference accounting,
+/// built on `BTreeMap`s and never on the store: a layer holds one chunk
+/// reference per slot, a snapshot one layer reference per list entry,
+/// and the last reference frees (a layer's chunks with it).
+#[derive(Default)]
+struct StoreModel {
+    /// Identity → (references, bytes).
+    chunks: BTreeMap<ChunkHash, (u64, u64)>,
+    /// Layer → (slot index → identity, references).
+    layers: BTreeMap<LayerId, (BTreeMap<u64, ChunkHash>, u64)>,
+    /// Snapshot → (layers oldest first, logical bytes).
+    snapshots: BTreeMap<SnapshotId, (Vec<LayerId>, u64)>,
+}
+
+impl StoreModel {
+    fn put_layer(&mut self, id: LayerId, slots: &[(u64, ChunkHash, u64)]) {
+        for &(_, hash, bytes) in slots {
+            self.chunks.entry(hash).or_insert((0, bytes)).0 += 1;
+        }
+        let map = slots.iter().map(|&(idx, hash, _)| (idx, hash)).collect();
+        assert!(
+            self.layers.insert(id, (map, 0)).is_none(),
+            "layer id reused"
+        );
+    }
+
+    fn compose(&mut self, id: SnapshotId, layers: &[LayerId], logical: u64) {
+        for layer in layers {
+            self.layers.get_mut(layer).unwrap().1 += 1;
+        }
+        let fresh = self.snapshots.insert(id, (layers.to_vec(), logical));
+        assert!(fresh.is_none(), "snapshot id reused");
+    }
+
+    /// Drops a snapshot; returns the layers freed, in list order.
+    fn drop_snapshot(&mut self, id: SnapshotId) -> Vec<LayerId> {
+        let (layers, _) = self.snapshots.remove(&id).unwrap();
+        let mut freed = Vec::new();
+        for layer in layers {
+            let refs = &mut self.layers.get_mut(&layer).unwrap().1;
+            *refs -= 1;
+            if *refs > 0 {
+                continue;
+            }
+            let (slots, _) = self.layers.remove(&layer).unwrap();
+            for hash in slots.values() {
+                let refs = &mut self.chunks.get_mut(hash).unwrap().0;
+                *refs -= 1;
+                if *refs == 0 {
+                    self.chunks.remove(hash);
+                }
+            }
+            freed.push(layer);
+        }
+        freed
+    }
+
+    /// Chunk index → identity, newest layer winning.
+    fn resolve(&self, id: SnapshotId) -> BTreeMap<u64, ChunkHash> {
+        let mut map = BTreeMap::new();
+        for layer in self.snapshots[&id].0.iter().rev() {
+            for (&idx, &hash) in &self.layers[layer].0 {
+                map.entry(idx).or_insert(hash);
+            }
+        }
+        map
+    }
+
+    fn unique_bytes(&self) -> u64 {
+        self.chunks.values().map(|&(_, bytes)| bytes).sum()
+    }
+
+    fn logical_bytes(&self) -> u64 {
+        self.snapshots.values().map(|&(_, logical)| logical).sum()
     }
 }
 
@@ -163,6 +246,90 @@ proptest! {
             flat_store.materialize(flat).unwrap()
         );
         store.debug_validate().unwrap();
+    }
+
+    /// Random accounting layers, compositions over 1–3 live layers and
+    /// drops in random order keep the store equal to [`StoreModel`]
+    /// after every step. Six identities with distinct sizes are shared
+    /// across layers; slots go in as drawn every other layer, so
+    /// unordered and repeated slot indices must be refused whole.
+    #[test]
+    fn store_matches_reference_model(
+        ops in proptest::collection::vec(
+            (
+                0u8..4,
+                proptest::collection::vec((0u64..12, 0u64..6), 0..8),
+                proptest::collection::vec(0usize..64, 1..4),
+                0u64..1000,
+            ),
+            1..80,
+        ),
+    ) {
+        let mut store = SnapshotStore::new(StoreConfig { chunk_pages: 4 });
+        let mut model = StoreModel::default();
+        for (op, raw, picks, logical) in ops {
+            let slot = |(idx, identity): (u64, u64)| {
+                (idx, ChunkHash::synthetic(&[identity]), 100 * (identity + 1))
+            };
+            match op {
+                // As drawn: accepted only if strictly ascending.
+                0 => {
+                    let slots: Vec<_> = raw.into_iter().map(slot).collect();
+                    let ascending = slots.windows(2).all(|w| w[0].0 < w[1].0);
+                    match store.put_layer_refs(LayerKind::Base, &slots) {
+                        Ok(id) => {
+                            prop_assert!(ascending, "unordered slots accepted: {:?}", slots);
+                            model.put_layer(id, &slots);
+                        }
+                        Err(e) => {
+                            prop_assert!(!ascending, "ascending slots refused: {}", e);
+                            prop_assert!(matches!(e, StoreError::Invariant(_)));
+                        }
+                    }
+                }
+                // Sorted, one identity per index (the last drawn).
+                1 => {
+                    let sorted: BTreeMap<u64, u64> = raw.into_iter().collect();
+                    let slots: Vec<_> = sorted.into_iter().map(slot).collect();
+                    let id = store.put_layer_refs(LayerKind::Delta, &slots).unwrap();
+                    model.put_layer(id, &slots);
+                }
+                2 => {
+                    let live: Vec<LayerId> = model.layers.keys().copied().collect();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let layers: Vec<LayerId> =
+                        picks.iter().map(|&p| live[p % live.len()]).collect();
+                    let id = store.compose_snapshot(&layers, logical).unwrap();
+                    model.compose(id, &layers, logical);
+                }
+                _ => {
+                    let live: Vec<SnapshotId> = model.snapshots.keys().copied().collect();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let id = live[picks[0] % live.len()];
+                    prop_assert_eq!(store.drop_snapshot(id).unwrap(), model.drop_snapshot(id));
+                    prop_assert!(store.resolve(id).is_err(), "dropped snapshot resolves");
+                }
+            }
+            prop_assert_eq!(store.unique_bytes(), model.unique_bytes());
+            prop_assert_eq!(store.logical_bytes(), model.logical_bytes());
+            prop_assert_eq!(store.resident_chunks(), model.chunks.len());
+            prop_assert_eq!(store.resident_layers(), model.layers.len());
+            for &id in model.snapshots.keys() {
+                let resolved = model.resolve(id);
+                prop_assert_eq!(&store.resolve(id).unwrap(), &resolved);
+                for idx in 0..13 {
+                    prop_assert_eq!(
+                        store.resolve_chunk(id, idx).unwrap(),
+                        resolved.get(&idx).copied()
+                    );
+                }
+            }
+            store.debug_validate().unwrap();
+        }
     }
 
     /// Random insert/touch/remove sequences give the layered registry
