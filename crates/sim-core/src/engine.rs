@@ -5,26 +5,14 @@
 //! world. Ties in time are broken by insertion order (FIFO), which makes
 //! runs fully deterministic.
 //!
-//! Internally the queue is a two-level structure tuned for million-event
-//! fleet runs (see DESIGN.md "Engine performance"):
+//! The queue is a `BinaryHeap` of 24-byte `(time, seq, slot)` tickets
+//! over a **slab** (`Vec` + free list) that holds the event payloads
+//! (see DESIGN.md "Engine performance"). The heap sifts fixed-size
+//! tickets rather than whole events, and after warm-up no event costs an
+//! allocation. `seq` is unique, so the heap's pop order is exactly the
+//! `(time, seq)` lexicographic order.
 //!
-//! - event payloads live in a **slab** (`Vec` + free list), so the queue
-//!   machinery moves fixed-size 24-byte tickets instead of whole events;
-//! - near-future tickets go into a **bucketed time wheel**: a ring of
-//!   `NBUCKETS` unsorted buckets of `1 << GRAN_LOG2` ns each, with an
-//!   occupancy bitmap to skip empty buckets. A bucket is sorted once,
-//!   when the clock reaches it — O(k log k) for k tickets instead of
-//!   per-event heap sifting;
-//! - far-future tickets (beyond the wheel horizon) overflow into a
-//!   `BinaryHeap` and migrate into the wheel as it advances.
-//!
-//! The total delivery order is exactly the `(time, seq)` lexicographic
-//! order of the old pure-heap implementation: the three tiers partition
-//! the time axis (`drained < wheel < overflow`), and each tier yields
-//! entries in `(time, seq)` order. Every golden artifact stays
-//! byte-identical across the swap.
-//!
-//! Beside the three tiers, [`Engine::run_merged`] accepts a time-sorted
+//! Beside the queue, [`Engine::run_merged`] accepts a time-sorted
 //! **external stream** — the fleet's pre-generated arrivals — and merges
 //! it into the run one event at a time, so the queue holds only
 //! in-flight work instead of the whole horizon. An external event wins
@@ -78,31 +66,6 @@ pub trait World {
     /// Handles one event at simulated instant `now`, optionally scheduling
     /// follow-up events.
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
-}
-
-/// log2 of the wheel bucket width in nanoseconds (65.536 µs per bucket).
-const GRAN_LOG2: u32 = 16;
-/// Number of wheel buckets; the wheel horizon is `NBUCKETS << GRAN_LOG2`
-/// ns (~67 ms) ahead of the drain point.
-const NBUCKETS: usize = 1024;
-const OCC_WORDS: usize = NBUCKETS / 64;
-
-/// A queue ticket: when and in what order to deliver, plus the slab slot
-/// holding the event payload. 24 bytes, `Copy`-cheap to sort.
-#[derive(Clone, Copy)]
-struct Ticket {
-    /// Delivery time in nanoseconds.
-    time: u64,
-    /// Global FIFO sequence number (unique — ties are impossible).
-    seq: u64,
-    /// Slab slot of the event payload.
-    slot: u32,
-}
-
-impl Ticket {
-    fn key(&self) -> (u64, u64) {
-        (self.time, self.seq)
-    }
 }
 
 /// Slab allocator for event payloads: stable `u32` slots, free-list reuse,
@@ -163,35 +126,12 @@ pub struct EngineStats {
 
 /// The pending-event queue, exposed to event handlers for scheduling.
 ///
-/// Three tiers partition the time axis, each internally `(time, seq)`-
-/// ordered, so the global pop order is the exact lexicographic order:
-///
-/// - `current`: tickets before `wheel_start` (the already-drained window),
-///   kept sorted descending so the next event pops from the back;
-/// - `buckets`: the wheel window `[wheel_start, wheel_start + horizon)`,
-///   unsorted per bucket, sorted on drain;
-/// - `overflow`: a min-heap of everything at or beyond the horizon.
+/// A min-heap of `(time ns, seq, slab slot)` tickets: `seq` is the
+/// global schedule order, so no two tickets tie and the heap pops in
+/// exact `(time, seq)` order.
 pub struct Scheduler<E> {
     slab: Slab<E>,
-    /// Drained window, sorted descending by `(time, seq)`; global minimum
-    /// is at the back.
-    current: Vec<Ticket>,
-    /// Ring of unsorted buckets covering the wheel window.
-    buckets: Vec<Vec<Ticket>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; OCC_WORDS],
-    /// Tickets currently in wheel buckets.
-    wheel_len: usize,
-    /// Start of the wheel window in ns; `cursor`'s bucket covers
-    /// `[wheel_start, wheel_start + bucket width)`. Everything in
-    /// `current` is strictly before `wheel_start`.
-    wheel_start: u64,
-    /// Ring index of the bucket at `wheel_start`.
-    cursor: usize,
-    /// Min-heap of tickets at or beyond the wheel horizon.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Total pending tickets across all tiers.
-    len: usize,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
     scheduled: u64,
     peak_pending: u64,
@@ -208,50 +148,21 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             slab: Slab::new(),
-            current: Vec::new(),
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; OCC_WORDS],
-            wheel_len: 0,
-            wheel_start: 0,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
-            len: 0,
             scheduled: 0,
             peak_pending: 0,
         }
     }
 
-    /// Schedules `event` at absolute instant `at`.
+    /// Schedules `event` at absolute instant `at`. An instant behind the
+    /// clock is accepted here; the engine panics on it at delivery.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let time = at.as_nanos();
-        let seq = self.seq;
+        let slot = self.slab.alloc(event);
+        self.heap.push(Reverse((at.as_nanos(), self.seq, slot)));
         self.seq += 1;
         self.scheduled += 1;
-        let slot = self.slab.alloc(event);
-        if self.len == 0 {
-            // Everything is empty: re-anchor the wheel window at `time` so
-            // sparse simulations never walk dead buckets.
-            self.wheel_start = time & !((1u64 << GRAN_LOG2) - 1);
-            self.cursor = 0;
-        }
-        let ticket = Ticket { time, seq, slot };
-        if time < self.wheel_start {
-            // Into the already-drained window (including behind-the-clock
-            // events — the engine panics on those at delivery, exactly as
-            // the old heap did). Keep the drain buffer ordered.
-            let pos = self.current.partition_point(|t| t.key() > ticket.key());
-            self.current.insert(pos, ticket);
-        } else {
-            let d = (time - self.wheel_start) >> GRAN_LOG2;
-            if (d as usize) < NBUCKETS {
-                self.push_bucket(d as usize, ticket);
-            } else {
-                self.overflow.push(Reverse((time, seq, slot)));
-            }
-        }
-        self.len += 1;
-        self.peak_pending = self.peak_pending.max(self.len as u64);
+        self.peak_pending = self.peak_pending.max(self.heap.len() as u64);
     }
 
     /// Schedules `event` at `now + delay`.
@@ -261,114 +172,20 @@ impl<E> Scheduler<E> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.len
-    }
-
-    /// High-water mark of the pending-event queue.
-    pub fn peak_pending(&self) -> u64 {
-        self.peak_pending
-    }
-
-    fn push_bucket(&mut self, distance: usize, ticket: Ticket) {
-        let b = (self.cursor + distance) & (NBUCKETS - 1);
-        self.buckets[b].push(ticket);
-        self.occupied[b >> 6] |= 1u64 << (b & 63);
-        self.wheel_len += 1;
+        self.heap.len()
     }
 
     /// Pops the earliest event if its time is `<= limit`.
     fn pop_at_most(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let limit = limit.as_nanos();
-        loop {
-            match self.current.last() {
-                Some(t) if t.time > limit => return None,
-                Some(_) => {
-                    let t = self.current.pop()?;
-                    self.len -= 1;
-                    match self.slab.take(t.slot) {
-                        Some(event) => return Some((SimTime::from_nanos(t.time), event)),
-                        None => panic!("scheduler: queued ticket lost its slab payload"),
-                    }
-                }
-                None => {
-                    if self.len == 0 {
-                        return None;
-                    }
-                    self.advance();
-                }
-            }
+        let &Reverse((time, _, _)) = self.heap.peek()?;
+        if time > limit.as_nanos() {
+            return None;
         }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_at_most(SimTime::MAX)
-    }
-
-    /// Moves the wheel forward to the next occupied bucket and drains it
-    /// into `current` (refilling the wheel from `overflow` first when it
-    /// has run dry). Does not deliver anything by itself.
-    fn advance(&mut self) {
-        debug_assert!(self.current.is_empty() && self.len > 0);
-        if self.wheel_len == 0 {
-            // The window is exhausted: jump it to the earliest overflow
-            // ticket and pull everything inside the new horizon back in.
-            let Some(&Reverse((t0, _, _))) = self.overflow.peek() else {
-                debug_assert!(false, "pending tickets but every tier is empty");
-                return;
-            };
-            self.wheel_start = t0 & !((1u64 << GRAN_LOG2) - 1);
-            self.cursor = 0;
-            self.refill_from_overflow();
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        match self.slab.take(slot) {
+            Some(event) => Some((SimTime::from_nanos(time), event)),
+            None => panic!("scheduler: queued ticket lost its slab payload"),
         }
-        let d = self.next_occupied_distance();
-        let b = (self.cursor + d) & (NBUCKETS - 1);
-        // Recycle the empty drain buffer's allocation as the new bucket.
-        std::mem::swap(&mut self.current, &mut self.buckets[b]);
-        self.occupied[b >> 6] &= !(1u64 << (b & 63));
-        self.wheel_len -= self.current.len();
-        // Sort descending: the earliest `(time, seq)` pops from the back.
-        self.current
-            .sort_unstable_by_key(|t| std::cmp::Reverse(t.key()));
-        self.wheel_start += ((d as u64) + 1) << GRAN_LOG2;
-        self.cursor = (b + 1) & (NBUCKETS - 1);
-        // The window advanced: overflow tickets may now fall inside it.
-        self.refill_from_overflow();
-    }
-
-    /// Migrates overflow tickets that now fall inside the wheel window.
-    fn refill_from_overflow(&mut self) {
-        while let Some(&Reverse((time, _, _))) = self.overflow.peek() {
-            debug_assert!(time >= self.wheel_start);
-            let d = (time - self.wheel_start) >> GRAN_LOG2;
-            if (d as usize) >= NBUCKETS {
-                break;
-            }
-            let Some(Reverse((time, seq, slot))) = self.overflow.pop() else {
-                break;
-            };
-            self.push_bucket(d as usize, Ticket { time, seq, slot });
-        }
-    }
-
-    /// Index distance from `cursor` to the nearest occupied bucket.
-    fn next_occupied_distance(&self) -> usize {
-        debug_assert!(self.wheel_len > 0);
-        let word0 = self.cursor >> 6;
-        let bit0 = self.cursor & 63;
-        for i in 0..=OCC_WORDS {
-            let w = (word0 + i) % OCC_WORDS;
-            let mut bits = self.occupied[w];
-            if i == 0 {
-                bits &= !0u64 << bit0;
-            } else if i == OCC_WORDS {
-                bits &= !(!0u64 << bit0);
-            }
-            if bits != 0 {
-                let b = (w << 6) + bits.trailing_zeros() as usize;
-                return (b + NBUCKETS - self.cursor) & (NBUCKETS - 1);
-            }
-        }
-        panic!("scheduler: wheel_len > 0 but no occupied bucket")
     }
 }
 
@@ -398,11 +215,6 @@ impl<E> Engine<E> {
     /// Current simulated time (the timestamp of the last delivered event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Access to the scheduler, e.g. for seeding initial events.
@@ -471,14 +283,6 @@ impl<E> Engine<E> {
             self.deliver(world, at, event);
         }
         self.run(world)
-    }
-
-    /// Delivers exactly one event if any is pending. Returns the delivered
-    /// event time, or `None` if the queue was empty.
-    pub fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Option<SimTime> {
-        let (time, event) = self.scheduler.pop()?;
-        self.deliver(world, time, event);
-        Some(time)
     }
 
     fn deliver<W: World<Event = E>>(&mut self, world: &mut W, time: SimTime, event: E) {
@@ -550,7 +354,7 @@ mod tests {
         let end = e.run(&mut w);
         assert_eq!(end.as_nanos(), 15);
         assert_eq!(w.log.len(), 4);
-        assert_eq!(e.delivered(), 4);
+        assert_eq!(e.stats().delivered, 4);
     }
 
     #[test]
@@ -566,15 +370,6 @@ mod tests {
         // Resume to completion.
         e.run(&mut w);
         assert_eq!(w.log.len(), 3);
-    }
-
-    #[test]
-    fn step_delivers_one() {
-        let mut w = Recorder::default();
-        let mut e = Engine::new();
-        e.scheduler().schedule(SimTime::from_nanos(7), Ev::B);
-        assert_eq!(e.step(&mut w), Some(SimTime::from_nanos(7)));
-        assert_eq!(e.step(&mut w), None);
     }
 
     #[test]
@@ -606,7 +401,6 @@ mod tests {
         assert_eq!(stats.delivered, 5);
         assert_eq!(stats.scheduled, 5);
         assert_eq!(stats.peak_pending, 3);
-        assert_eq!(e.scheduler().peak_pending(), 3);
     }
 
     #[test]
@@ -655,19 +449,23 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// 2^26 ns (~67 ms), the horizon of the time wheel the heap
+    /// replaced. The two tests below keep it as a long gap to order
+    /// across.
+    const HORIZON: u64 = 67_108_864;
+
     #[test]
     fn far_future_events_overflow_and_return() {
-        // Spread events far past the wheel horizon (~67 ms) so they take
-        // the overflow-heap path, interleaved with near events.
+        // Events up to ten horizons apart, interleaved with near ones,
+        // come back in time order.
         let mut w = Recorder::default();
         let mut e = Engine::new();
-        let horizon = (NBUCKETS as u64) << GRAN_LOG2;
         let times = [
             1u64,
-            horizon / 2,
-            horizon + 7,
-            3 * horizon,
-            10 * horizon + 13,
+            HORIZON / 2,
+            HORIZON + 7,
+            3 * HORIZON,
+            10 * HORIZON + 13,
             2,
         ];
         // Payload 0 so the Recorder schedules no follow-up chains.
@@ -683,16 +481,14 @@ mod tests {
 
     #[test]
     fn equal_times_across_horizon_keep_fifo() {
-        // Two batches at the same instant: one scheduled while the instant
-        // is beyond the horizon (overflow), one after the wheel advanced
-        // close enough to hold it (bucket). FIFO order must survive the
-        // migration between tiers.
+        // Two events at one far instant: one scheduled two horizons
+        // ahead of it, one scheduled close to it, after the clock has
+        // walked most of the gap. FIFO order must hold between them.
         let mut w = Recorder::default();
         let mut e = Engine::new();
-        let horizon = (NBUCKETS as u64) << GRAN_LOG2;
-        let t_far = 2 * horizon + 5;
+        let t_far = 2 * HORIZON + 5;
         e.scheduler().schedule(SimTime::from_nanos(t_far), Ev::A(0));
-        // A chain of near events walks the wheel forward past `horizon`,
+        // A chain of near events walks the clock forward past `HORIZON`,
         // then schedules another event at the same far instant.
         struct Walker {
             t_far: u64,
