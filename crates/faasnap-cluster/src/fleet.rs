@@ -454,6 +454,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> FleetMetrics {
     cfg.selfprof.harvest([
         ("engine/delivered", estats.delivered),
         ("engine/scheduled", estats.scheduled),
+        ("engine/inline", estats.inline),
     ]);
     cfg.selfprof.max("engine/peak_pending", estats.peak_pending);
     let FleetWorld {

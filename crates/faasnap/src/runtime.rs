@@ -609,6 +609,7 @@ pub fn run(
     host.selfprof.harvest([
         ("engine/delivered", estats.delivered),
         ("engine/scheduled", estats.scheduled),
+        ("engine/inline", estats.inline),
     ]);
     host.selfprof
         .max("engine/peak_pending", estats.peak_pending);
@@ -1141,13 +1142,21 @@ impl SimWorld<'_> {
     }
 
     /// Runs the vCPU until it blocks (fault/compute) or finishes.
-    fn drive_vcpu(&mut self, vm: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    ///
+    /// Invariant: every handler that continues a vCPU — through this
+    /// function or [`Self::reenter`], `read_done` included — does so as
+    /// its last action. A continuation that is the engine's next delivery
+    /// anyway ([`Scheduler::try_advance`]) therefore runs here in place,
+    /// in this loop, instead of going through the queue: the queue would
+    /// have delivered it right after the handler returned, with nothing
+    /// in between.
+    fn drive_vcpu(&mut self, vm: usize, mut now: SimTime, sched: &mut Scheduler<Ev>) {
         if self.vms[vm].error.is_some() {
             return;
         }
         loop {
             let step = self.vms[vm].vcpu.next_step();
-            match step {
+            let busy = match step {
                 Step::Done => {
                     let v = &mut self.vms[vm];
                     v.done_at = Some(now);
@@ -1167,29 +1176,35 @@ impl SimWorld<'_> {
                     }
                     return;
                 }
-                Step::Compute(d) => {
-                    let stretch = self.host.cpu.stretch();
-                    self.host.cpu.begin();
-                    sched.schedule(now + d.mul_f64(stretch), Ev::ComputeDone { vm });
-                    return;
-                }
+                Step::Compute(d) => d,
                 Step::Free { range } => {
                     let v = &mut self.vms[vm];
                     let cost = v.kernel.free_pages(&mut v.mem, range);
-                    if !cost.is_zero() {
-                        let stretch = self.host.cpu.stretch();
-                        self.host.cpu.begin();
-                        sched.schedule(now + cost.mul_f64(stretch), Ev::ComputeDone { vm });
-                        return;
+                    if cost.is_zero() {
+                        continue;
                     }
+                    cost
                 }
                 Step::Access { page, write, token } => {
                     let access = Access { page, write, token };
-                    if self.handle_access(vm, access, 0, now, sched) {
-                        return; // blocked on a fault
+                    match self.handle_access(vm, access, 0, now, sched) {
+                        Some(at) => {
+                            now = at;
+                            continue;
+                        }
+                        None => return, // blocked on a fault
                     }
                 }
+            };
+            let stretch = self.host.cpu.stretch();
+            self.host.cpu.begin();
+            let done = now + busy.mul_f64(stretch);
+            if !sched.try_advance(done) {
+                sched.schedule(done, Ev::ComputeDone { vm });
+                return;
             }
+            self.host.cpu.end();
+            now = done;
         }
     }
 
@@ -1203,13 +1218,14 @@ impl SimWorld<'_> {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        if !self.handle_access(vm, access, attempt, now, sched) {
-            self.drive_vcpu(vm, now, sched);
+        if let Some(at) = self.handle_access(vm, access, attempt, now, sched) {
+            self.drive_vcpu(vm, at, sched);
         }
     }
 
-    /// Handles one access; returns true if the vCPU blocked. `attempt`
-    /// counts the access's failed reads so far.
+    /// Handles one access; returns the instant the vCPU may continue, or
+    /// `None` if it blocked. `attempt` counts the access's failed reads
+    /// so far.
     fn handle_access(
         &mut self,
         vm: usize,
@@ -1217,7 +1233,7 @@ impl SimWorld<'_> {
         attempt: u32,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-    ) -> bool {
+    ) -> Option<SimTime> {
         let page = access.page;
         let v = &mut self.vms[vm];
         let (outcome, resolved, ctx) = v.resolver.resolve_traced(
@@ -1243,17 +1259,10 @@ impl SimWorld<'_> {
                 if access.write {
                     v.mem.write(page, access.token);
                 }
-                return false;
+                return Some(now);
             }
             FaultOutcome::Resolved { cost, kind } => {
-                let ev = Ev::FaultDone {
-                    vm,
-                    access,
-                    kind,
-                    started: now,
-                    ctx,
-                };
-                sched.schedule(now + cost, ev);
+                return self.fault_done(vm, access, kind, now, now + cost, ctx, sched);
             }
             FaultOutcome::WaitInflight { ready_at, cost } => {
                 let ev = Ev::InflightDone {
@@ -1286,15 +1295,16 @@ impl SimWorld<'_> {
             FaultOutcome::Userfault { file, file_page } => {
                 let handler = v.reap.as_mut().expect("uffd fault without handler");
                 if self.host.pages.contains(file, file_page) {
-                    let svc = handler.serve_cached(now, &self.host.costs);
-                    let ev = Ev::FaultDone {
+                    let resume_at = handler.serve_cached(now, &self.host.costs).resume_at;
+                    return self.fault_done(
                         vm,
                         access,
-                        kind: FaultKind::Uffd,
-                        started: now,
+                        FaultKind::Uffd,
+                        now,
+                        resume_at,
                         ctx,
-                    };
-                    sched.schedule(svc.resume_at, ev);
+                        sched,
+                    );
                 } else {
                     // The handler preads exactly the faulting page from the
                     // memory file (Figure 2's > 128 µs population: most
@@ -1317,7 +1327,36 @@ impl SimWorld<'_> {
                 }
             }
         }
-        true
+        None
+    }
+
+    /// Completes a fault whose vCPU continues at `at`: in place, returning
+    /// `at`, when that is the engine's next delivery anyway; otherwise
+    /// through a queued `FaultDone`, returning `None`.
+    #[allow(clippy::too_many_arguments)]
+    fn fault_done(
+        &mut self,
+        vm: usize,
+        access: Access,
+        kind: FaultKind,
+        started: SimTime,
+        at: SimTime,
+        ctx: TraceContext,
+        sched: &mut Scheduler<Ev>,
+    ) -> Option<SimTime> {
+        if sched.try_advance(at) {
+            self.finish_access(vm, access, kind, started, at, ctx);
+            return Some(at);
+        }
+        let ev = Ev::FaultDone {
+            vm,
+            access,
+            kind,
+            started,
+            ctx,
+        };
+        sched.schedule(at, ev);
+        None
     }
 
     /// Submits a checked read for `vm`, issued at `at`: books any injected
@@ -1395,7 +1434,11 @@ impl SimWorld<'_> {
                 // Kernel-side handling overhead on top of the disk wait.
                 let done = now + overhead;
                 self.finish_access(vm, access, FaultKind::Major, started, done, ctx);
-                sched.schedule(done, Ev::Resume { vm });
+                if sched.try_advance(done) {
+                    self.drive_vcpu(vm, done, sched);
+                } else {
+                    sched.schedule(done, Ev::Resume { vm });
+                }
                 return;
             }
             Reader::Fault {
@@ -1413,14 +1456,11 @@ impl SimWorld<'_> {
                     Some(handler) => handler.complete_with_io(started, now, &self.host.costs),
                     None => now,
                 };
-                let ev = Ev::FaultDone {
-                    vm,
-                    access,
-                    kind: FaultKind::Uffd,
-                    started,
-                    ctx,
-                };
-                sched.schedule(resume_at, ev);
+                if let Some(at) =
+                    self.fault_done(vm, access, FaultKind::Uffd, started, resume_at, ctx, sched)
+                {
+                    self.drive_vcpu(vm, at, sched);
+                }
                 return;
             }
             Reader::ReapMiss {

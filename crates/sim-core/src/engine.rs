@@ -20,6 +20,18 @@
 //! instant, exactly as if it had been scheduled up front with a lower
 //! sequence number than anything the run schedules.
 //!
+//! A handler may also **run ahead** of the queue:
+//! [`Scheduler::try_advance`] says whether an event at a given instant
+//! would be the engine's very next delivery — at or after the clock,
+//! strictly before every queued event and inside the current run's
+//! limit — and if so books it as scheduled and delivered and moves the
+//! clock, so the handler handles it in place instead of queueing it.
+//! This is exact only as the handler's last action: anything it did
+//! after the inline event would, through the queue, have happened
+//! before it. The clock and the counters live in the scheduler, so
+//! [`Engine::now`], the instants the runs return and [`EngineStats`]
+//! count inline deliveries exactly as queued ones.
+//!
 //! Components of a simulation are *passive* state machines; only the world
 //! type knows the event enum and wires components together:
 //!
@@ -114,27 +126,43 @@ impl<E> Slab<E> {
 /// this is a plain value type rather than a profiler handle).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events delivered to the world, external ones included.
+    /// Events delivered to the world, external and inline ones included.
     pub delivered: u64,
     /// Events ever scheduled (delivered + still pending + dropped),
-    /// external ones included.
+    /// external and inline ones included.
     pub scheduled: u64,
     /// High-water mark of the pending-event queue. External events of
-    /// [`Engine::run_merged`] never enter the queue, so they never count.
+    /// [`Engine::run_merged`] never enter the queue, so they never count;
+    /// an inline event counts as if it had been pushed and popped at once.
     pub peak_pending: u64,
+    /// Events delivered without entering the queue, through
+    /// [`Scheduler::try_advance`].
+    pub inline: u64,
 }
 
-/// The pending-event queue, exposed to event handlers for scheduling.
+/// The pending-event queue and the clock, exposed to event handlers for
+/// scheduling and running ahead.
 ///
 /// A min-heap of `(time ns, seq, slab slot)` tickets: `seq` is the
 /// global schedule order, so no two tickets tie and the heap pops in
-/// exact `(time, seq)` order.
+/// exact `(time, seq)` order. Every event the run schedules takes a
+/// `seq`, inline ones included, so `seq` plus the external events
+/// delivered is the count of events ever scheduled.
 pub struct Scheduler<E> {
     slab: Slab<E>,
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
-    scheduled: u64,
+    /// External events [`Engine::run_merged`] delivered.
+    external: u64,
     peak_pending: u64,
+    /// The clock: the instant of the last delivered event.
+    now: SimTime,
+    delivered: u64,
+    inline: u64,
+    /// An inline delivery must be strictly before this instant (ns): one
+    /// past `run_until`'s deadline, the next external instant under
+    /// `run_merged`, and 0 outside a run.
+    inline_before: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -150,8 +178,12 @@ impl<E> Scheduler<E> {
             slab: Slab::new(),
             heap: BinaryHeap::new(),
             seq: 0,
-            scheduled: 0,
+            external: 0,
             peak_pending: 0,
+            now: SimTime::ZERO,
+            delivered: 0,
+            inline: 0,
+            inline_before: 0,
         }
     }
 
@@ -161,7 +193,6 @@ impl<E> Scheduler<E> {
         let slot = self.slab.alloc(event);
         self.heap.push(Reverse((at.as_nanos(), self.seq, slot)));
         self.seq += 1;
-        self.scheduled += 1;
         self.peak_pending = self.peak_pending.max(self.heap.len() as u64);
     }
 
@@ -173,6 +204,31 @@ impl<E> Scheduler<E> {
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Runs ahead of the queue: returns true, and books one event at `at`
+    /// as scheduled and delivered and moves the clock to `at`, when that
+    /// event would be the engine's next delivery anyway. That holds when
+    /// `at` is at or after the clock, strictly before every queued event
+    /// (a queued one at the same instant has a lower `seq` and goes
+    /// first) and inside the current run's limit (`run_until`'s deadline,
+    /// or strictly before `run_merged`'s next external instant). The
+    /// caller then handles the event itself, in place; on false it
+    /// schedules the event as usual.
+    ///
+    /// Exact only as the handler's last action: whatever the handler did
+    /// after an inline event would, through the queue, have come first.
+    pub fn try_advance(&mut self, at: SimTime) -> bool {
+        let head = self.heap.peek().map_or(u64::MAX, |&Reverse((t, _, _))| t);
+        if at < self.now || at.as_nanos() >= head.min(self.inline_before) {
+            return false;
+        }
+        self.seq += 1;
+        self.peak_pending = self.peak_pending.max(self.heap.len() as u64 + 1);
+        self.now = at;
+        self.delivered += 1;
+        self.inline += 1;
+        true
     }
 
     /// Pops the earliest event if its time is `<= limit`.
@@ -189,11 +245,10 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// The discrete-event engine: a clock plus a scheduler.
+/// The discrete-event engine: runs a scheduler's queue, and its clock,
+/// through a world.
 pub struct Engine<E> {
     scheduler: Scheduler<E>,
-    now: SimTime,
-    delivered: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -207,14 +262,13 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             scheduler: Scheduler::new(),
-            now: SimTime::ZERO,
-            delivered: 0,
         }
     }
 
-    /// Current simulated time (the timestamp of the last delivered event).
+    /// Current simulated time (the timestamp of the last delivered event,
+    /// inline ones included).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.scheduler.now
     }
 
     /// Access to the scheduler, e.g. for seeding initial events.
@@ -224,10 +278,12 @@ impl<E> Engine<E> {
 
     /// Self-statistics of the run so far.
     pub fn stats(&self) -> EngineStats {
+        let s = &self.scheduler;
         EngineStats {
-            delivered: self.delivered,
-            scheduled: self.scheduler.scheduled,
-            peak_pending: self.scheduler.peak_pending,
+            delivered: s.delivered,
+            scheduled: s.seq + s.external,
+            peak_pending: s.peak_pending,
+            inline: s.inline,
         }
     }
 
@@ -242,12 +298,15 @@ impl<E> Engine<E> {
     }
 
     /// Runs until the queue is empty or the next event is later than
-    /// `deadline`. Events exactly at `deadline` are delivered.
+    /// `deadline`. Events exactly at `deadline` are delivered, and no
+    /// inline delivery passes it.
     pub fn run_until<W: World<Event = E>>(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
+        self.scheduler.inline_before = deadline.as_nanos().saturating_add(1);
         while let Some((time, event)) = self.scheduler.pop_at_most(deadline) {
             self.deliver(world, time, event);
         }
-        self.now
+        self.scheduler.inline_before = 0;
+        self.scheduler.now
     }
 
     /// Runs a time-sorted `external` event stream merged with the queue,
@@ -255,11 +314,12 @@ impl<E> Engine<E> {
     ///
     /// Before each external event at `t`, every queued event strictly
     /// before `t` is delivered; queued events at `t` wait, so the
-    /// external event wins the tie. The delivery order is therefore
-    /// exactly that of scheduling the whole stream up front and calling
-    /// [`Engine::run`], but the queue never holds the stream: external
-    /// events count in `delivered` and `scheduled`, never in `pending`
-    /// or `peak_pending`.
+    /// external event wins the tie. While an external event is handled,
+    /// inline deliveries stay strictly before the next external instant.
+    /// The delivery order is therefore exactly that of scheduling the
+    /// whole stream up front and calling [`Engine::run`], but the queue
+    /// never holds the stream: external events count in `delivered` and
+    /// `scheduled`, never in `pending` or `peak_pending`.
     ///
     /// # Panics
     ///
@@ -270,30 +330,35 @@ impl<E> Engine<E> {
         W: World<Event = E>,
         I: IntoIterator<Item = (SimTime, E)>,
     {
-        for (at, event) in external {
+        let mut external = external.into_iter().peekable();
+        while let Some((at, event)) = external.next() {
             if let Some(before) = at.as_nanos().checked_sub(1) {
                 self.run_until(world, SimTime::from_nanos(before));
             }
             assert!(
-                at >= self.now,
+                at >= self.scheduler.now,
                 "external event stream went back in time: {at} < {}",
-                self.now
+                self.scheduler.now
             );
-            self.scheduler.scheduled += 1;
+            self.scheduler.external += 1;
+            self.scheduler.inline_before = external
+                .peek()
+                .map_or(u64::MAX, |(next, _)| next.as_nanos());
             self.deliver(world, at, event);
         }
         self.run(world)
     }
 
     fn deliver<W: World<Event = E>>(&mut self, world: &mut W, time: SimTime, event: E) {
+        let s = &mut self.scheduler;
         assert!(
-            time >= self.now,
+            time >= s.now,
             "event scheduled in the past: {time} < {}",
-            self.now
+            s.now
         );
-        self.now = time;
-        self.delivered += 1;
-        world.handle(time, event, &mut self.scheduler);
+        s.now = time;
+        s.delivered += 1;
+        world.handle(time, event, s);
     }
 }
 
@@ -386,6 +451,58 @@ mod tests {
         let mut e = Engine::new();
         e.scheduler().schedule(SimTime::from_nanos(10), ());
         e.run(&mut Bad);
+    }
+
+    #[test]
+    fn try_advance_delivers_only_the_next_event_of_a_run() {
+        // A(1) at 0 is handled while B waits at 10 and the run's deadline
+        // is 20: a continuation at B's instant must queue behind it, one
+        // before it runs ahead, and none passes the deadline.
+        struct Ahead {
+            offers: Vec<(u64, bool)>,
+        }
+        impl World for Ahead {
+            type Event = Ev;
+            fn handle(&mut self, _now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+                if ev == Ev::A(1) {
+                    for t in [10, 21, 9, 8] {
+                        let ok = sched.try_advance(SimTime::from_nanos(t));
+                        self.offers.push((t, ok));
+                    }
+                }
+            }
+        }
+        let mut e = Engine::new();
+        assert!(!e.scheduler().try_advance(SimTime::ZERO), "outside a run");
+        e.scheduler().schedule(SimTime::ZERO, Ev::A(1));
+        e.scheduler().schedule(SimTime::from_nanos(10), Ev::B);
+        let mut w = Ahead { offers: Vec::new() };
+        let end = e.run_until(&mut w, SimTime::from_nanos(20));
+        assert_eq!(
+            w.offers,
+            vec![(10, false), (21, false), (9, true), (8, false)]
+        );
+        assert_eq!((end, e.now()), (SimTime::from_nanos(10), end));
+        let stats = e.stats();
+        assert_eq!((stats.delivered, stats.scheduled, stats.inline), (3, 3, 1));
+        assert_eq!(stats.peak_pending, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn past_event_behind_an_inline_delivery_panics() {
+        struct Ahead;
+        impl World for Ahead {
+            type Event = ();
+            fn handle(&mut self, now: SimTime, _: (), sched: &mut Scheduler<()>) {
+                // Run the clock ahead, then schedule behind where it went.
+                assert!(sched.try_advance(now + SimDuration::from_nanos(10)));
+                sched.schedule(now + SimDuration::from_nanos(5), ());
+            }
+        }
+        let mut e = Engine::new();
+        e.scheduler().schedule(SimTime::ZERO, ());
+        e.run(&mut Ahead);
     }
 
     #[test]

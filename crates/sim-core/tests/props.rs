@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use sim_core::detmap::DetMap;
-use sim_core::engine::{Engine, Scheduler, World};
+use sim_core::engine::{Engine, EngineStats, Scheduler, World};
 use sim_core::rng::Prng;
 use sim_core::stats::{Log2Histogram, Summary};
 use sim_core::time::{SimDuration, SimTime};
@@ -48,41 +48,162 @@ impl World for Spawner {
     }
 }
 
+/// The delays at which event `ev` spawns its children: `spawns[ev]` for
+/// an initial event. Children are numbered from [`CHILD_BASE`]; with
+/// `respawn`, child `CHILD_BASE + k` spawns `spawns[k]` in turn, and
+/// without it children spawn nothing.
+fn delays_of(spawns: &[Vec<u64>], ev: u32, respawn: bool) -> &[u64] {
+    let idx = match ev.checked_sub(CHILD_BASE) {
+        Some(k) if respawn => k,
+        Some(_) => return &[],
+        None => ev,
+    };
+    spawns.get(idx as usize).map_or(&[], Vec::as_slice)
+}
+
 /// Oracle for the engine: a plain vector popped by min `(time, seq)`,
 /// with seq assigned in schedule order — the DES contract, spelled out
-/// with no slab or heap anywhere near it. Returns the delivered
-/// `(time, event)` sequence, how many events were scheduled, and the
-/// most that were pending at once, taken after every schedule.
-fn reference_run(initial: &[u64], spawns: &[Vec<u64>]) -> (Vec<(u64, u32)>, u64, u64) {
-    let mut pending: Vec<(u64, u64, u32)> = Vec::new();
-    let mut seq = 0u64;
-    let mut peak_pending = 0u64;
-    for (i, &t) in initial.iter().enumerate() {
-        pending.push((t, seq, i as u32));
-        seq += 1;
-        peak_pending = peak_pending.max(pending.len() as u64);
+/// with no slab or heap anywhere near it, and resumable across
+/// deadlines. Beside the delivered `(time, event)` sequence it counts
+/// what the engine counts: events scheduled, the most pending at once
+/// (taken after every schedule), and the events a world running ahead
+/// handles in place — a handler's last child when it lands strictly
+/// before everything pending and no later than the deadline.
+struct Oracle<'a> {
+    spawns: &'a [Vec<u64>],
+    respawn: bool,
+    pending: Vec<(u64, u64, u32)>,
+    seq: u64,
+    peak_pending: u64,
+    inline: u64,
+    next_child: u32,
+    now: u64,
+    seen: Vec<(u64, u32)>,
+}
+
+impl<'a> Oracle<'a> {
+    fn new(initial: &[u64], spawns: &'a [Vec<u64>], respawn: bool) -> Self {
+        let mut o = Oracle {
+            spawns,
+            respawn,
+            pending: Vec::new(),
+            seq: 0,
+            peak_pending: 0,
+            inline: 0,
+            next_child: 0,
+            now: 0,
+            seen: Vec::new(),
+        };
+        for (i, &t) in initial.iter().enumerate() {
+            o.push(t, i as u32);
+        }
+        o
     }
-    let mut next_child = 0u32;
-    let mut seen = Vec::new();
-    while !pending.is_empty() {
-        let pos = pending
+
+    fn push(&mut self, t: u64, ev: u32) {
+        self.pending.push((t, self.seq, ev));
+        self.seq += 1;
+        self.peak_pending = self.peak_pending.max(self.pending.len() as u64);
+    }
+
+    /// Delivers every pending event due by `deadline`, in `(time, seq)`
+    /// order.
+    fn run_until(&mut self, deadline: u64) {
+        while let Some(pos) = self
+            .pending
             .iter()
             .enumerate()
             .min_by_key(|&(_, &(t, s, _))| (t, s))
             .map(|(p, _)| p)
-            .unwrap_or(0);
-        let (t, _, ev) = pending.swap_remove(pos);
-        seen.push((t, ev));
-        if let Some(delays) = spawns.get(ev as usize) {
-            for &d in delays {
-                pending.push((t + d, seq, CHILD_BASE + next_child));
-                seq += 1;
-                next_child += 1;
-                peak_pending = peak_pending.max(pending.len() as u64);
+        {
+            if self.pending[pos].0 > deadline {
+                break;
+            }
+            let (t, _, ev) = self.pending.swap_remove(pos);
+            self.now = t;
+            self.seen.push((t, ev));
+            let delays = delays_of(self.spawns, ev, self.respawn);
+            for (i, &d) in delays.iter().enumerate() {
+                let at = t + d;
+                if i + 1 == delays.len()
+                    && at <= deadline
+                    && self.pending.iter().all(|&(p, _, _)| at < p)
+                {
+                    self.inline += 1;
+                }
+                let id = CHILD_BASE + self.next_child;
+                self.next_child += 1;
+                self.push(at, id);
             }
         }
     }
-    (seen, seq, peak_pending)
+
+    fn stats(&self) -> EngineStats {
+        EngineStats {
+            delivered: self.seen.len() as u64,
+            scheduled: self.seq,
+            peak_pending: self.peak_pending,
+            inline: self.inline,
+        }
+    }
+}
+
+/// [`Oracle`] run dry over initial events whose children never spawn.
+/// Returns the delivered `(time, event)` sequence, how many events were
+/// scheduled, and the most that were pending at once.
+fn reference_run(initial: &[u64], spawns: &[Vec<u64>]) -> (Vec<(u64, u32)>, u64, u64) {
+    let mut o = Oracle::new(initial, spawns, false);
+    o.run_until(u64::MAX);
+    (o.seen, o.seq, o.peak_pending)
+}
+
+/// World for the run-ahead differential: handling an event schedules its
+/// children (which spawn in turn, see [`delays_of`]) but offers the last
+/// one to [`Scheduler::try_advance`] and, when allowed, handles it in
+/// place, where it may spawn and run ahead again, as the runtime's vCPU
+/// loop does.
+struct RunAhead<'a> {
+    spawns: &'a [Vec<u64>],
+    next_child: u32,
+    seen: Vec<(u64, u32)>,
+}
+
+impl<'a> RunAhead<'a> {
+    fn new(spawns: &'a [Vec<u64>]) -> Self {
+        RunAhead {
+            spawns,
+            next_child: 0,
+            seen: Vec::new(),
+        }
+    }
+
+    fn child(&mut self) -> u32 {
+        let id = CHILD_BASE + self.next_child;
+        self.next_child += 1;
+        id
+    }
+}
+
+impl World for RunAhead<'_> {
+    type Event = u32;
+    fn handle(&mut self, mut now: SimTime, mut ev: u32, s: &mut Scheduler<u32>) {
+        loop {
+            self.seen.push((now.as_nanos(), ev));
+            let Some((&last, rest)) = delays_of(self.spawns, ev, true).split_last() else {
+                return;
+            };
+            for &d in rest {
+                let id = self.child();
+                s.schedule(now + SimDuration::from_nanos(d), id);
+            }
+            let (at, id) = (now + SimDuration::from_nanos(last), self.child());
+            if !s.try_advance(at) {
+                s.schedule(at, id);
+                return;
+            }
+            (now, ev) = (at, id);
+        }
+    }
 }
 
 /// A timestamp either clustered tightly (forcing ties) or spread over
@@ -104,6 +225,20 @@ const NEXT_INSTANT: u64 = u64::MAX;
 /// delay.
 fn child_delay() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), Just(NEXT_INSTANT), event_time()]
+}
+
+/// One handler's children, at delays drawn from `delay`. Half the time
+/// the last child repeats the first one's delay, so it lands exactly on
+/// the instant of a sibling queued just before it: the queue's head
+/// whenever nothing earlier waits.
+fn siblings(delay: impl Strategy<Value = u64>) -> impl Strategy<Value = Vec<u64>> {
+    (proptest::collection::vec(delay, 0..4), any::<bool>()).prop_map(|(mut d, tie)| {
+        if tie && d.len() > 1 {
+            let last = d.len() - 1;
+            d[last] = d[0];
+        }
+        d
+    })
 }
 
 proptest! {
@@ -191,6 +326,87 @@ proptest! {
         prop_assert_eq!(m.scheduled, u.scheduled);
         prop_assert!(m.peak_pending <= u.peak_pending);
         prop_assert_eq!(merged.scheduler().pending(), 0);
+    }
+
+    /// Differential: a world that handles its last child in place whenever
+    /// `Scheduler::try_advance` allows delivers exactly the oracle's
+    /// `(time, event)` sequence, ends on the oracle's clock (as returned
+    /// and as `Engine::now`) and matches all its counters, inline
+    /// deliveries included: under `run_until` with a deadline between
+    /// events, then under `run` to the end. Under `run_merged` it matches
+    /// the up-front twin of its stream, which matches the oracle, with
+    /// children at delay 0, exactly on the next external instant and
+    /// exactly on a queued sibling's instant.
+    #[test]
+    fn run_ahead_matches_sorted_reference(
+        initial in proptest::collection::vec(event_time(), 1..40),
+        spawns in proptest::collection::vec(siblings(prop_oneof![Just(0u64), event_time()]), 1..40),
+        deadline in event_time(),
+        external in proptest::collection::vec((stream_gap(), siblings(child_delay())), 1..40),
+    ) {
+        let mut w = RunAhead::new(&spawns);
+        let mut e: Engine<u32> = Engine::new();
+        for (i, &t) in initial.iter().enumerate() {
+            e.scheduler().schedule(SimTime::from_nanos(t), i as u32);
+        }
+        let mut oracle = Oracle::new(&initial, &spawns, true);
+        let end = e.run_until(&mut w, SimTime::from_nanos(deadline));
+        oracle.run_until(deadline);
+        prop_assert_eq!(&w.seen, &oracle.seen);
+        prop_assert_eq!((end, e.now()), (SimTime::from_nanos(oracle.now), end));
+        prop_assert_eq!(e.stats(), oracle.stats());
+        let end = e.run(&mut w);
+        oracle.run_until(u64::MAX);
+        prop_assert_eq!(&w.seen, &oracle.seen);
+        prop_assert_eq!((end, e.now()), (SimTime::from_nanos(oracle.now), end));
+        prop_assert_eq!(e.stats(), oracle.stats());
+
+        let mut times = Vec::with_capacity(external.len());
+        let mut t = 0u64;
+        for (gap, _) in &external {
+            t += gap;
+            times.push(t);
+        }
+        let spawns: Vec<Vec<u64>> = external
+            .iter()
+            .enumerate()
+            .map(|(i, (_, delays))| {
+                delays
+                    .iter()
+                    .map(|&d| match (d, times.get(i + 1)) {
+                        (NEXT_INSTANT, Some(&next)) => next - times[i],
+                        (NEXT_INSTANT, None) => 0,
+                        (d, _) => d,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut upfront_world = RunAhead::new(&spawns);
+        let mut upfront: Engine<u32> = Engine::new();
+        for (i, &t) in times.iter().enumerate() {
+            upfront.scheduler().schedule(SimTime::from_nanos(t), i as u32);
+        }
+        let upfront_end = upfront.run(&mut upfront_world);
+        let mut oracle = Oracle::new(&times, &spawns, true);
+        oracle.run_until(u64::MAX);
+        prop_assert_eq!(&upfront_world.seen, &oracle.seen);
+        prop_assert_eq!(upfront_end, SimTime::from_nanos(oracle.now));
+        prop_assert_eq!(upfront.stats(), oracle.stats());
+
+        let mut merged_world = RunAhead::new(&spawns);
+        let mut merged: Engine<u32> = Engine::new();
+        let merged_end = merged.run_merged(
+            &mut merged_world,
+            times.iter().enumerate().map(|(i, &t)| (SimTime::from_nanos(t), i as u32)),
+        );
+        prop_assert_eq!(&merged_world.seen, &upfront_world.seen);
+        prop_assert_eq!((merged_end, merged.now()), (upfront_end, upfront_end));
+        let (m, u) = (merged.stats(), upfront.stats());
+        prop_assert_eq!(
+            (m.delivered, m.scheduled, m.inline),
+            (u.delivered, u.scheduled, u.inline)
+        );
+        prop_assert!(m.peak_pending <= u.peak_pending);
     }
 
     /// Events are always delivered in non-decreasing time order, with

@@ -1,7 +1,9 @@
 //! End-to-end record → test pipeline invariants.
 
+use faasnap::runtime::InvocationOutcome;
 use faasnap::strategy::RestoreStrategy;
-use faasnap_daemon::platform::Platform;
+use faasnap_daemon::platform::{BurstKind, Platform};
+use faasnap_obs::SelfProfile;
 use sim_storage::profiles::DiskProfile;
 
 fn recorded_platform(name: &str) -> (Platform, faas_workloads::Function) {
@@ -324,4 +326,95 @@ fn restore_under_cache_pressure_is_pinned() {
             );
         }
     }
+}
+
+/// One restore batch as the engine and the guests saw it: the engine's
+/// `(delivered, scheduled, peak_pending, inline)` counters, read from a
+/// self-profile fresh for the batch, and each VM's `(total ns,
+/// final-memory checksum)`.
+type EnginePin = ([u64; 4], Vec<(u64, u64)>);
+
+fn engine_pin(
+    p: &mut Platform,
+    batch: impl FnOnce(&mut Platform) -> Vec<InvocationOutcome>,
+) -> EnginePin {
+    let prof = SelfProfile::enabled();
+    p.set_self_profile(prof.clone());
+    let outcomes = batch(p);
+    let counters = [
+        prof.counter("engine/delivered"),
+        prof.counter("engine/scheduled"),
+        prof.counter("engine/peak_pending"),
+        prof.counter("engine/inline"),
+    ];
+    let vms = outcomes
+        .iter()
+        .map(|o| (o.report.total_time().as_nanos(), o.final_memory.checksum()))
+        .collect();
+    (counters, vms)
+}
+
+#[test]
+fn restore_engine_work_is_pinned() {
+    // json restores (input B) under Firecracker, REAP and FaaSnap, a
+    // 4-way FaaSnap fork and a 3-VM same-snapshot FaaSnap burst, in that
+    // order on one recorded platform. Delivered, scheduled and peak
+    // pending events do not depend on how the engine delivers them, so
+    // they, the VMs' times and their final memory are pinned exactly;
+    // `engine/inline` pins how many vCPU continuations ran ahead of the
+    // queue, so a change that stops running ahead fails here too.
+    let (mut p, f) = recorded_platform("json");
+    let input = f.input_b();
+    let mut got = Vec::new();
+    for s in [
+        RestoreStrategy::Vanilla,
+        RestoreStrategy::Reap,
+        RestoreStrategy::faasnap(),
+    ] {
+        got.push(engine_pin(&mut p, |p| {
+            vec![p.try_invoke("json", "t", &input, s).unwrap()]
+        }));
+    }
+    got.push(engine_pin(&mut p, |p| {
+        p.try_fork("json", "t", &input, RestoreStrategy::faasnap(), 4)
+            .unwrap()
+            .outcomes
+    }));
+    got.push(engine_pin(&mut p, |p| {
+        p.burst(
+            "json",
+            "t",
+            &input,
+            RestoreStrategy::faasnap(),
+            3,
+            BurstKind::SameSnapshot,
+        )
+        .unwrap()
+    }));
+    // One restore's 15_219_067_472_856_064_601 is every fork sibling's
+    // too; the burst's VMs get reseeded inputs.
+    let sum = 15_219_067_472_856_064_601;
+    let want: Vec<EnginePin> = vec![
+        ([8812, 8812, 2, 7528], vec![(202_466_122, sum)]),
+        ([8278, 8278, 1, 7576], vec![(141_728_293, sum)]),
+        ([7750, 7750, 2, 7576], vec![(104_850_917, sum)]),
+        (
+            [30484, 30484, 8, 7610],
+            vec![
+                (104_350_983, sum),
+                (104_307_506, sum),
+                (104_313_093, sum),
+                (104_299_325, sum),
+            ],
+        ),
+        (
+            [23068, 23068, 6, 10126],
+            vec![
+                (104_359_345, 1_730_194_725_337_171_945),
+                (104_392_679, 15_651_070_050_824_667_361),
+                (104_137_630, 16_692_369_683_855_389_219),
+            ],
+        ),
+    ];
+    assert_eq!(got, want, "engine work or restore results drifted");
 }
